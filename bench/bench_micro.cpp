@@ -17,8 +17,8 @@
 #include "obs/trace.h"
 #include "common/rng.h"
 #include "core/ident/identifier.h"
-#include "core/ident/onebit_correlator.h"
 #include "core/overlay/ble_overlay.h"
+#include "dsp/bitpack.h"
 #include "dsp/correlate.h"
 #include "dsp/fft.h"
 #include "dsp/mixer.h"
@@ -123,9 +123,10 @@ void BM_PackedCorrelation(benchmark::State& state) {
   std::vector<int8_t> tmpl_signs(120);
   for (auto& v : stream) v = rng.chance(0.5) ? 1 : -1;
   for (auto& v : tmpl_signs) v = rng.chance(0.5) ? 1 : -1;
-  const PackedBits tmpl(tmpl_signs);
+  const bitpack::PackedVec tmpl = bitpack::pack_signs(tmpl_signs);
   for (auto _ : state)
-    benchmark::DoNotOptimize(packed_sliding_correlation(stream, tmpl));
+    benchmark::DoNotOptimize(
+        bitpack::sliding_sign_correlation(bitpack::pack_signs(stream), tmpl));
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PackedCorrelation)->Arg(256)->Arg(1024);

@@ -3,7 +3,9 @@
 // chains — ZigBee OQPSK despreading (CmacBank), 802.11b CCK demapping
 // (planar codeword bank + arena chip collapse), BLE GFSK discrimination
 // (fused middle-half kernel), and 802.11n OFDM demapping (planned FFT +
-// cached interleaver).
+// cached interleaver) — plus overlay packet sync (SlidingSync vs the
+// scalar sliding correlator in OverlayReceiver::synchronize) on full
+// Table 4 captures of all four protocols.
 //
 // The corpus of noisy waveforms is generated deterministically on the
 // trial engine (so --metrics-out stays reproducible); the timing loops
@@ -12,7 +14,8 @@
 // hard failure, making this bench double as a live equivalence check
 // (the same contract tests/differential/ sweeps more broadly).
 //
-// Throughput is reported as baseband IQ samples demodulated per second.
+// Throughput is reported as baseband IQ samples demodulated (or, for
+// overlay_sync, searched) per second.
 // The fast path's target is ≥3× the oracle on at least two chains
 // (ISSUE 7 acceptance).
 #include <chrono>
@@ -24,11 +27,13 @@
 
 #include "bench_util.h"
 #include "channel/awgn.h"
+#include "core/overlay/receiver.h"
 #include "dsp/kernels/config.h"
 #include "phy/ble/ble.h"
 #include "phy/dsss/wifi_b.h"
 #include "phy/ofdm/wifi_n.h"
 #include "phy/zigbee/zigbee.h"
+#include "sim/excitation.h"
 #include "sim/runner/cli.h"
 #include "sim/runner/trial_runner.h"
 #include "sim/trace_io.h"
@@ -40,7 +45,9 @@ namespace {
 
 struct Trace {
   Iq iq;
-  std::size_t n = 0;  ///< symbols or bits, per the chain's demod call
+  /// Symbols or bits, per the chain's demod call; overlay_sync's
+  /// protocol index.
+  std::size_t n = 0;
 };
 
 /// One kernel pair under test.  Both runners serialize the demod output
@@ -96,6 +103,19 @@ std::vector<std::uint8_t> detects_bytes(
   return out;
 }
 
+/// The whole SyncResult, metric bits included; min_metric 0 makes every
+/// capture yield one.
+std::vector<std::uint8_t> sync_bytes(const std::optional<SyncResult>& r) {
+  std::vector<std::uint8_t> out(1 + sizeof(SyncResult), 0);
+  out[0] = r.has_value();
+  if (r) {
+    const std::size_t fields[2] = {r->preamble_start, r->payload_start};
+    std::memcpy(out.data() + 1, fields, sizeof fields);
+    std::memcpy(out.data() + 1 + sizeof fields, &r->metric, sizeof r->metric);
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -105,7 +125,8 @@ int main(int argc, char** argv) {
   const double snr_db = 12.0;
 
   bench::title("phy throughput",
-               "SIMD/streaming kernels vs scalar oracles, 4 receive chains");
+               "SIMD/streaming kernels vs scalar oracles, 4 receive chains "
+               "+ overlay sync");
 
   TrialRunner runner({opt.threads, seed});
   std::vector<Chain> chains;
@@ -211,6 +232,48 @@ int main(int argc, char** argv) {
          },
          [ref](const Trace& t) {
            return bits_bytes(ref->demodulate_symbol_bits(t.iq, t.n));
+         }});
+  }
+
+  {  // Overlay packet sync: Table 4 capture = lead noise + preamble +
+     // tag-modulated carrier, one receiver per protocol.
+    std::vector<std::shared_ptr<const OverlayReceiver>> rxs;
+    std::vector<std::size_t> n_seqs;
+    for (Protocol p : kAllProtocols) {
+      const std::size_t symbols = table4_excitation(p).payload_symbols();
+      const OverlayParams params = mode_params(p, OverlayMode::Mode1, symbols);
+      rxs.push_back(std::make_shared<const OverlayReceiver>(p, params));
+      n_seqs.push_back(std::max<std::size_t>(1, symbols / params.kappa));
+    }
+    std::vector<Trace> corpus = runner.run_grid(
+        kAllProtocols.size(), trials,
+        [&](std::size_t point, std::size_t, Rng& rng) {
+          const OverlayReceiver& rx = *rxs[point];
+          const OverlayCodec& codec = rx.codec();
+          const std::size_t n_seq = n_seqs[point];
+          const Iq packet = rx.assemble_packet(codec.tag_modulate(
+              codec.make_carrier(
+                  rng.bits(n_seq * codec.productive_bits_per_sequence())),
+              rng.bits(codec.tag_capacity(n_seq))));
+          Trace t;
+          t.iq.assign(rng.uniform_int(4 * rx.preamble_samples() + 1),
+                      Cf(0.0f, 0.0f));
+          t.iq.insert(t.iq.end(), packet.begin(), packet.end());
+          t.iq = add_awgn(t.iq, snr_db, rng);
+          t.n = point;
+          return t;
+        });
+    // synchronize() only reads the receiver, so sharing one per protocol
+    // is safe even though receive() would not be.
+    chains.push_back(
+        {"overlay_sync", std::move(corpus),
+         [rxs](const Trace& t) {
+           return sync_bytes(
+               rxs[t.n]->synchronize(t.iq, 0.0, KernelPath::Fast));
+         },
+         [rxs](const Trace& t) {
+           return sync_bytes(
+               rxs[t.n]->synchronize(t.iq, 0.0, KernelPath::Reference));
          }});
   }
 

@@ -32,14 +32,44 @@ const RxMetrics& rx_metrics() {
   return m;
 }
 
+// Scalar oracle of the kernels::SlidingSync pair (dsp/kernels/
+// sliding_sync.h explains the fast twin and why it is bit-exact):
+// sliding normalized cross-correlation with a running window energy.
+SyncResult reference_sync(std::span<const Cf> rx, std::span<const Cf> preamble,
+                          double preamble_energy) {
+  SyncResult best;
+  double win_energy = 0.0;
+  for (std::size_t i = 0; i < preamble.size(); ++i)
+    win_energy += std::norm(rx[i]);
+  for (std::size_t off = 0; off + preamble.size() <= rx.size(); ++off) {
+    if (off > 0) {
+      win_energy += std::norm(rx[off + preamble.size() - 1]);
+      win_energy -= std::norm(rx[off - 1]);
+    }
+    if (win_energy > 1e-12) {
+      Cf corr(0.0f, 0.0f);
+      for (std::size_t i = 0; i < preamble.size(); ++i)
+        corr += rx[off + i] * std::conj(preamble[i]);
+      const double metric =
+          std::abs(corr) / std::sqrt(win_energy * preamble_energy);
+      if (metric > best.metric) {
+        best.metric = metric;
+        best.preamble_start = off;
+        best.payload_start = off + preamble.size();
+      }
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 OverlayReceiver::OverlayReceiver(Protocol protocol, OverlayParams params)
     : protocol_(protocol),
       codec_(make_overlay_codec(protocol, params)),
-      preamble_(clean_preamble(protocol, /*extended=*/false)) {
-  for (const Cf& v : preamble_) preamble_energy_ += std::norm(v);
-  MS_CHECK(preamble_energy_ > 0.0);
+      preamble_(clean_preamble(protocol, /*extended=*/false)),
+      sync_(preamble_) {
+  MS_CHECK(sync_.ref_energy() > 0.0);
 }
 
 Iq OverlayReceiver::assemble_packet(std::span<const Cf> overlay_payload) const {
@@ -49,31 +79,16 @@ Iq OverlayReceiver::assemble_packet(std::span<const Cf> overlay_payload) const {
 }
 
 std::optional<SyncResult> OverlayReceiver::synchronize(
-    std::span<const Cf> rx, double min_metric) const {
+    std::span<const Cf> rx, double min_metric,
+    kernels::KernelPath path) const {
   if (rx.size() < preamble_.size()) return std::nullopt;
   SyncResult best;
-  // Sliding normalized cross-correlation.  Running window energy keeps
-  // this O(N·L) multiplies but O(N) energy updates.
-  double win_energy = 0.0;
-  for (std::size_t i = 0; i < preamble_.size(); ++i)
-    win_energy += std::norm(rx[i]);
-  for (std::size_t off = 0; off + preamble_.size() <= rx.size(); ++off) {
-    if (off > 0) {
-      win_energy += std::norm(rx[off + preamble_.size() - 1]);
-      win_energy -= std::norm(rx[off - 1]);
-    }
-    if (win_energy > 1e-12) {
-      Cf corr(0.0f, 0.0f);
-      for (std::size_t i = 0; i < preamble_.size(); ++i)
-        corr += rx[off + i] * std::conj(preamble_[i]);
-      const double metric =
-          std::abs(corr) / std::sqrt(win_energy * preamble_energy_);
-      if (metric > best.metric) {
-        best.metric = metric;
-        best.preamble_start = off;
-        best.payload_start = off + preamble_.size();
-      }
-    }
+  if (kernels::use_fast(path)) {
+    const kernels::SlidingSync::Peak peak = sync_.peak(rx);
+    if (peak.metric > 0.0)
+      best = {peak.offset, peak.offset + preamble_.size(), peak.metric};
+  } else {
+    best = reference_sync(rx, preamble_, sync_.ref_energy());
   }
   if (best.metric < min_metric) return std::nullopt;
   return best;

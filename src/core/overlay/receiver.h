@@ -13,6 +13,8 @@
 #include <optional>
 
 #include "core/overlay/overlay.h"
+#include "dsp/kernels/config.h"
+#include "dsp/kernels/sliding_sync.h"
 
 namespace ms {
 
@@ -31,12 +33,20 @@ class OverlayReceiver {
   /// overlay carrier (already tag-modulated or not).
   Iq assemble_packet(std::span<const Cf> overlay_payload) const;
 
-  /// Locate the packet in a raw capture.  Returns nullopt when no
-  /// correlation peak exceeds `min_metric`.
-  std::optional<SyncResult> synchronize(std::span<const Cf> rx,
-                                        double min_metric = 0.5) const;
+  /// Locate the packet in a raw capture: the first offset with the
+  /// strictly largest normalized correlation against the preamble.
+  /// Returns nullopt when that peak is below `min_metric`.  `path`
+  /// selects the kernels::SlidingSync fast path or the scalar oracle;
+  /// both return bit-identical results.  Thread-safe.
+  std::optional<SyncResult> synchronize(
+      std::span<const Cf> rx, double min_metric = 0.5,
+      kernels::KernelPath path = kernels::KernelPath::Auto) const;
 
-  /// Synchronize + decode `n_sequences` of overlay payload.
+  /// Synchronize + decode `n_sequences` of overlay payload.  A capture
+  /// that ends at the preamble counts as a sync failure.  Not
+  /// thread-safe: the PHY demodulators behind the codec fill lazy
+  /// reference caches, so concurrent receive() calls need one receiver
+  /// per thread.
   std::optional<OverlayDecoded> receive(std::span<const Cf> rx,
                                         std::size_t n_sequences,
                                         double min_metric = 0.5) const;
@@ -48,7 +58,7 @@ class OverlayReceiver {
   Protocol protocol_;
   std::unique_ptr<OverlayCodec> codec_;
   Iq preamble_;          ///< clean packet-detection waveform (8 µs)
-  double preamble_energy_ = 0.0;
+  kernels::SlidingSync sync_;  ///< planar conj(preamble_) and its energy
 };
 
 }  // namespace ms

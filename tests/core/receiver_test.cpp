@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "channel/awgn.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "dsp/ops.h"
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
 
 namespace ms {
 namespace {
@@ -99,6 +104,97 @@ TEST(Receiver, ShortCaptureRejected) {
   const Iq tiny(10, Cf(1.0f, 0.0f));
   EXPECT_FALSE(rx.synchronize(tiny).has_value());
 }
+
+// Oracle semantics of synchronize(), pinned on both sides of the
+// kernels::SlidingSync pair.
+using kernels::KernelPath;
+
+class ReceiverSyncPath : public ::testing::TestWithParam<KernelPath> {};
+
+/// Preamble sign-quantized to (±0.5, ±0.5): every window of such
+/// samples has the exact dyadic energy 0.5·L, so the running window
+/// energy carries no rounding and two equal windows score equal bits.
+Iq quantized_preamble(const OverlayReceiver& rx) {
+  Iq q = rx.assemble_packet({});
+  for (Cf& v : q)
+    v = Cf(v.real() >= 0.0f ? 0.5f : -0.5f, v.imag() >= 0.0f ? 0.5f : -0.5f);
+  return q;
+}
+
+TEST_P(ReceiverSyncPath, TiedPeaksTakeTheEarliestOffset) {
+  for (Protocol p : kAllProtocols) {
+    const OverlayReceiver rx(p, mode_params(p, OverlayMode::Mode1));
+    const std::size_t len = rx.preamble_samples();
+    const Iq copy = quantized_preamble(rx);
+    Iq cap = copy;
+    cap.insert(cap.end(), copy.begin(), copy.end());
+    const auto sync = rx.synchronize(cap, 0.0, GetParam());
+    ASSERT_TRUE(sync.has_value()) << protocol_name(p);
+    // The second copy alone scores the same bits: offsets 0 and len tie.
+    const auto second =
+        rx.synchronize(std::span<const Cf>(cap).subspan(len), 0.0, GetParam());
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->metric, sync->metric) << protocol_name(p);
+    EXPECT_EQ(sync->preamble_start, 0u) << protocol_name(p);
+    EXPECT_EQ(sync->payload_start, len) << protocol_name(p);
+  }
+}
+
+/// Selects `path` for KernelPath::Auto callers (receive()) for one scope.
+class GlobalPath {
+ public:
+  explicit GlobalPath(KernelPath path) : saved_(kernels::fast_path_enabled()) {
+    kernels::set_fast_path_enabled(path == KernelPath::Fast);
+  }
+  ~GlobalPath() { kernels::set_fast_path_enabled(saved_); }
+
+ private:
+  bool saved_;
+};
+
+TEST_P(ReceiverSyncPath, PreambleOnlyCaptureIsASyncFailure) {
+  const OverlayReceiver rx(Protocol::Ble,
+                           mode_params(Protocol::Ble, OverlayMode::Mode1));
+  const Iq cap = rx.assemble_packet({});
+  ASSERT_EQ(cap.size(), rx.preamble_samples());
+  const auto sync = rx.synchronize(cap, 0.5, GetParam());
+  ASSERT_TRUE(sync.has_value());
+  EXPECT_EQ(sync->preamble_start, 0u);
+  EXPECT_EQ(sync->payload_start, cap.size());
+
+  const GlobalPath global(GetParam());
+  obs::TelemetryShard shard;
+  {
+    obs::ShardScope scope(&shard);
+    EXPECT_FALSE(rx.receive(cap, 1).has_value());
+  }
+  EXPECT_EQ(shard.counter_value(obs::counter("overlay.sync_fail")), 1u);
+  EXPECT_EQ(shard.counter_value(obs::counter("overlay.decode_fail")), 0u);
+}
+
+TEST_P(ReceiverSyncPath, PeakJustBelowMinMetricIsRejected) {
+  Rng rng(40);
+  const OverlayReceiver rx(Protocol::Zigbee,
+                           mode_params(Protocol::Zigbee, OverlayMode::Mode1));
+  const PacketFixture f = make_capture(rx, 4, 300, 100, 6.0, rng);
+  const auto peak = rx.synchronize(f.capture, 0.0, GetParam());
+  ASSERT_TRUE(peak.has_value());
+  const double m = peak->metric;
+  const double above = std::nextafter(m, std::numeric_limits<double>::max());
+  EXPECT_FALSE(rx.synchronize(f.capture, above, GetParam()).has_value());
+  const auto at = rx.synchronize(f.capture, m, GetParam());
+  ASSERT_TRUE(at.has_value());
+  EXPECT_EQ(at->preamble_start, peak->preamble_start);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothPaths, ReceiverSyncPath,
+                         ::testing::Values(KernelPath::Fast,
+                                           KernelPath::Reference),
+                         [](const auto& info) {
+                           return info.param == KernelPath::Fast
+                                      ? std::string("Fast")
+                                      : std::string("Reference");
+                         });
 
 TEST(Receiver, AssembledPacketStartsWithPreamble) {
   const OverlayReceiver rx(Protocol::Ble,

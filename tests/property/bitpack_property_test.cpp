@@ -10,8 +10,10 @@
 // point.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "core/ident/identifier.h"
 #include "core/ident/templates.h"
@@ -49,6 +51,70 @@ TEST(BitpackProperty, PackedDotMatchesScalarAcrossWordBoundaries) {
           << "n=" << n;
     }
   }
+}
+
+TEST(PackedBits, DotMatchesReference) {
+  Rng rng(1);
+  for (std::size_t n : {1u, 7u, 64u, 65u, 120u, 300u}) {
+    const auto a = random_signs(rng, n);
+    const auto b = random_signs(rng, n);
+    long ref = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      ref += static_cast<int>(a[i]) * static_cast<int>(b[i]);
+    EXPECT_EQ(bitpack::packed_dot(bitpack::pack_signs(a).words,
+                                  bitpack::pack_signs(b).words, n),
+              ref)
+        << n;
+  }
+}
+
+TEST(PackedBits, CorrelationMatchesSignCorrelation) {
+  Rng rng(2);
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::size_t n = 1 + rng.uniform_int(200);
+    const auto a = random_signs(rng, n);
+    const auto b = random_signs(rng, n);
+    EXPECT_EQ(bitpack::packed_sign_correlation(bitpack::pack_signs(a).words,
+                                               bitpack::pack_signs(b).words, n),
+              sign_correlation(a, b))
+        << n;
+  }
+}
+
+TEST(PackedSliding, MatchesNaiveSliding) {
+  Rng rng(5);
+  const auto stream = random_signs(rng, 500);
+  const auto tmpl = random_signs(rng, 120);
+  const auto scores = bitpack::sliding_sign_correlation(
+      bitpack::pack_signs(stream), bitpack::pack_signs(tmpl));
+  ASSERT_EQ(scores.size(), 381u);
+  for (std::size_t off = 0; off < scores.size(); ++off) {
+    const double ref = sign_correlation(
+        std::span<const int8_t>(stream).subspan(off, 120), tmpl);
+    EXPECT_EQ(scores[off], ref) << off;
+  }
+}
+
+TEST(BitpackProperty, PackedSelfCorrelationIsOne) {
+  Rng rng(3);
+  const auto a = bitpack::pack_signs(random_signs(rng, 120));
+  EXPECT_EQ(bitpack::packed_sign_correlation(a.words, a.words, a.bits), 1.0);
+}
+
+TEST(BitpackProperty, EmptyVectorsCorrelateToZero) {
+  const auto a = bitpack::pack_signs(std::span<const int8_t>{});
+  EXPECT_EQ(a.bits, 0u);
+  EXPECT_EQ(bitpack::packed_dot(a.words, a.words, 0), 0);
+  EXPECT_EQ(bitpack::packed_sign_correlation(a.words, a.words, 0), 0.0);
+}
+
+TEST(BitpackProperty, PackedDotRejectsTooFewWords) {
+  // 65 positions need two words; a one-word operand must not be read
+  // past its end.
+  Rng rng(4);
+  const auto a = bitpack::pack_signs(random_signs(rng, 64));
+  const auto b = bitpack::pack_signs(random_signs(rng, 65));
+  EXPECT_THROW(bitpack::packed_dot(a.words, b.words, 65), Error);
 }
 
 TEST(BitpackProperty, PackThresholdClearsPadding) {
@@ -95,6 +161,27 @@ TEST(BitpackProperty, SlidingMatchesPerOffsetReference) {
     EXPECT_EQ(peak.score, best) << "lt=" << lt;
     EXPECT_EQ(peak.offset, best_off) << "lt=" << lt;
   }
+}
+
+TEST(BitpackProperty, SlidingFindsEmbeddedTemplate) {
+  Rng rng(6);
+  auto stream = random_signs(rng, 400);
+  const auto tmpl = random_signs(rng, 100);
+  const std::size_t pos = 137;
+  std::copy(tmpl.begin(), tmpl.end(), stream.begin() + pos);
+  const auto scores = bitpack::sliding_sign_correlation(
+      bitpack::pack_signs(stream), bitpack::pack_signs(tmpl));
+  const auto best = std::max_element(scores.begin(), scores.end());
+  EXPECT_EQ(static_cast<std::size_t>(best - scores.begin()), pos);
+  EXPECT_EQ(scores[pos], 1.0);
+}
+
+TEST(BitpackProperty, SlidingStreamShorterThanTemplateIsEmpty) {
+  Rng rng(7);
+  const auto stream = bitpack::pack_signs(random_signs(rng, 50));
+  const auto tmpl = bitpack::pack_signs(random_signs(rng, 100));
+  EXPECT_TRUE(bitpack::sliding_sign_correlation(stream, tmpl).empty());
+  EXPECT_EQ(bitpack::peak_sliding_sign_correlation(stream, tmpl).score, -1.0);
 }
 
 TEST(BitpackProperty, PackedOneBitPeakMatchesReferenceScan) {
