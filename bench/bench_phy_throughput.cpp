@@ -5,7 +5,9 @@
 // (fused middle-half kernel), and 802.11n OFDM demapping (planned FFT +
 // cached interleaver) — plus overlay packet sync (SlidingSync vs the
 // scalar sliding correlator in OverlayReceiver::synchronize) on full
-// Table 4 captures of all four protocols.
+// Table 4 captures of all four protocols, and channel noise (add_awgn's
+// batched Rng::fill_normal draws vs one Rng::normal call per draw) over
+// the same captures.
 //
 // The corpus of noisy waveforms is generated deterministically on the
 // trial engine (so --metrics-out stays reproducible); the timing loops
@@ -15,10 +17,11 @@
 // (the same contract tests/differential/ sweeps more broadly).
 //
 // Throughput is reported as baseband IQ samples demodulated (or, for
-// overlay_sync, searched) per second.
+// overlay_sync, searched; for channel_noise, noised) per second.
 // The fast path's target is ≥3× the oracle on at least two chains
 // (ISSUE 7 acceptance).
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -27,8 +30,11 @@
 
 #include "bench_util.h"
 #include "channel/awgn.h"
+#include "common/units.h"
 #include "core/overlay/receiver.h"
 #include "dsp/kernels/config.h"
+#include "dsp/kernels/sliding_sync.h"
+#include "dsp/ops.h"
 #include "phy/ble/ble.h"
 #include "phy/dsss/wifi_b.h"
 #include "phy/ofdm/wifi_n.h"
@@ -46,7 +52,7 @@ namespace {
 struct Trace {
   Iq iq;
   /// Symbols or bits, per the chain's demod call; overlay_sync's
-  /// protocol index.
+  /// protocol index; channel_noise's noise seed.
   std::size_t n = 0;
 };
 
@@ -116,6 +122,27 @@ std::vector<std::uint8_t> sync_bytes(const std::optional<SyncResult>& r) {
   return out;
 }
 
+std::vector<std::uint8_t> iq_bytes(const Iq& iq) {
+  std::vector<std::uint8_t> out(iq.size() * sizeof(Cf));
+  if (!iq.empty()) std::memcpy(out.data(), iq.data(), out.size());
+  return out;
+}
+
+/// add_awgn(Iq) with one Rng::normal call per draw, imaginary part
+/// first: the per-draw loop that Rng::fill_normal's batches replaced.
+Iq add_awgn_per_draw(std::span<const Cf> x, double snr_db, Rng& rng) {
+  const double p = mean_power(x);
+  Iq out(x.begin(), x.end());
+  if (p <= 0.0) return out;
+  const double sigma = std::sqrt(p / db_to_linear(snr_db) / 2.0);
+  for (Cf& v : out) {
+    const double im = rng.normal(0.0, sigma);
+    const double re = rng.normal(0.0, sigma);
+    v += Cf(static_cast<float>(re), static_cast<float>(im));
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -126,7 +153,7 @@ int main(int argc, char** argv) {
 
   bench::title("phy throughput",
                "SIMD/streaming kernels vs scalar oracles, 4 receive chains "
-               "+ overlay sync");
+               "+ overlay sync + channel noise");
 
   TrialRunner runner({opt.threads, seed});
   std::vector<Chain> chains;
@@ -277,6 +304,22 @@ int main(int argc, char** argv) {
          }});
   }
 
+  {  // Channel noise over the overlay captures above, each trace with
+     // its own noise seed.
+    std::vector<Trace> corpus = chains.back().corpus;
+    for (std::size_t i = 0; i < corpus.size(); ++i) corpus[i].n = seed + i;
+    chains.push_back(
+        {"channel_noise", std::move(corpus),
+         [snr_db](const Trace& t) {
+           Rng rng(t.n);
+           return iq_bytes(add_awgn(t.iq, snr_db, rng));
+         },
+         [snr_db](const Trace& t) {
+           Rng rng(t.n);
+           return iq_bytes(add_awgn_per_draw(t.iq, snr_db, rng));
+         }});
+  }
+
   // Hard equivalence gate: bitwise-identical demod output on every
   // corpus trace, or the throughput numbers below are meaningless.
   for (const Chain& chain : chains) {
@@ -294,6 +337,10 @@ int main(int argc, char** argv) {
     std::printf("  equivalence: %-12s %zu traces, fast == reference bitwise\n",
                 chain.name.c_str(), chain.corpus.size());
   }
+
+  std::printf("  overlay_sync block: %s\n",
+              kernels::SlidingSync::isa_name(
+                  kernels::SlidingSync::default_isa()));
 
   const double min_seconds = 0.25;
   std::vector<CsvColumn> cols;

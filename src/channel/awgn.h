@@ -8,6 +8,13 @@
 
 namespace ms {
 
+/// Standard normal draws the noise helpers below take per
+/// Rng::fill_normal call.  Even, so a complex sample's two draws never
+/// straddle chunks; small, so the scratch stays on the stack whatever
+/// the trace length.  Complex sample i takes draws 2i (imaginary part)
+/// and 2i + 1 (real part).
+inline constexpr std::size_t kNoiseChunk = 512;
+
 /// Add complex AWGN with the given noise power (variance split evenly
 /// between I and Q).
 Iq add_noise_power(std::span<const Cf> x, double noise_power, Rng& rng);

@@ -50,8 +50,11 @@ MultipathChannel sample_multipath(const MultipathConfig& cfg,
   const std::vector<double> powers = scatter_tap_powers(cfg);
   for (unsigned t = 0; t < powers.size(); ++t) {
     const double sigma = std::sqrt(powers[t] / 2.0);
-    ch.taps.push_back(Cf(static_cast<float>(rng.normal(0.0, sigma)),
-                         static_cast<float>(rng.normal(0.0, sigma))));
+    // Imaginary part first: the draw order is pinned, not left to the
+    // unspecified evaluation order of constructor arguments.
+    const double im = rng.normal(0.0, sigma);
+    const double re = rng.normal(0.0, sigma);
+    ch.taps.push_back(Cf(static_cast<float>(re), static_cast<float>(im)));
     const double delay_s = cfg.delay_spread_s * static_cast<double>(t + 1);
     ch.delays.push_back(std::max<std::size_t>(
         1, static_cast<std::size_t>(delay_s * sample_rate_hz)));
@@ -86,8 +89,10 @@ void MultipathFader::step(Rng& rng) {
   for (std::size_t t = 0; t < scatter_sigma_.size(); ++t) {
     const double sigma = mix * scatter_sigma_[t];
     Cf& tap = ch_.taps[t + 1];
-    tap = Cf(static_cast<float>(rho_ * tap.real() + rng.normal(0.0, sigma)),
-             static_cast<float>(rho_ * tap.imag() + rng.normal(0.0, sigma)));
+    const double im = rng.normal(0.0, sigma);  // imaginary draw first
+    const double re = rng.normal(0.0, sigma);
+    tap = Cf(static_cast<float>(rho_ * tap.real() + re),
+             static_cast<float>(rho_ * tap.imag() + im));
   }
 }
 

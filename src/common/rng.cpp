@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -16,6 +17,25 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 }
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+// One xoshiro256** step.  fill_normal runs it on a local copy of the
+// state so the four words stay in registers across a whole batch.
+inline std::uint64_t xoshiro_next(std::uint64_t* s) {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+// uniform(-1.0, 1.0) of one raw draw, operation for operation.
+inline double polar_coord(std::uint64_t x) {
+  return -1.0 + 2.0 * (static_cast<double>(x >> 11) * 0x1.0p-53);
+}
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) : seed_(seed) {
@@ -23,17 +43,7 @@ Rng::Rng(std::uint64_t seed) : seed_(seed) {
   for (auto& s : s_) s = splitmix64(sm);
 }
 
-std::uint64_t Rng::operator()() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
+std::uint64_t Rng::operator()() { return xoshiro_next(s_); }
 
 double Rng::uniform() {
   // 53 high bits -> double in [0,1)
@@ -72,6 +82,47 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
+}
+
+void Rng::fill_normal(std::span<double> out) {
+  const std::size_t n = out.size();
+  std::size_t k = 0;
+  if (n > 0 && has_spare_) {
+    out[k++] = spare_;
+    has_spare_ = false;
+  }
+  double cu[kNormalBatch], cv[kNormalBatch], cs[kNormalBatch],
+      cm[kNormalBatch];
+  std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+  while (k < n) {
+    // A candidate (u, v) yields at most one accepted pair, so drawing
+    // no more candidates than pairs still owed never takes a raw draw
+    // that the equivalent normal() calls would not have taken.
+    const std::size_t owed = (n - k + 1) / 2;
+    const std::size_t cands = std::min(kNormalBatch, owed);
+    std::size_t acc = 0;
+    for (std::size_t j = 0; j < cands; ++j) {
+      const double u = polar_coord(xoshiro_next(s));
+      const double v = polar_coord(xoshiro_next(s));
+      const double q = u * u + v * v;
+      cu[acc] = u;  // written unconditionally, kept only if accepted
+      cv[acc] = v;
+      cs[acc] = q;
+      acc += static_cast<std::size_t>((q < 1.0) & (q != 0.0));
+    }
+    for (std::size_t j = 0; j < acc; ++j)
+      cm[j] = std::sqrt(-2.0 * std::log(cs[j]) / cs[j]);
+    for (std::size_t j = 0; j < acc; ++j) {
+      out[k++] = cu[j] * cm[j];
+      if (k < n) {
+        out[k++] = cv[j] * cm[j];
+      } else {
+        spare_ = cv[j] * cm[j];
+        has_spare_ = true;
+      }
+    }
+  }
+  std::copy(s, s + 4, s_);
 }
 
 bool Rng::chance(double p) { return uniform() < p; }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bits.h"
@@ -36,6 +37,14 @@ class Rng {
   double normal();
   /// Normal draw with the given mean and standard deviation.
   double normal(double mean, double stddev);
+  /// out.size() successive standard normal draws: out[k] is bitwise the
+  /// k-th of that many normal() calls, and the cached spare is taken on
+  /// entry and left behind on exit exactly as those calls would.  Polar
+  /// candidates are drawn kNormalBatch at a time, branch-free, and the
+  /// accepted ones' independent log/sqrt calls then run back to back.
+  void fill_normal(std::span<double> out);
+  /// Polar (u, v) candidates per fill_normal block.
+  static constexpr std::size_t kNormalBatch = 64;
   /// Bernoulli draw with probability p of returning true.
   bool chance(double p);
   /// n independent fair bits.

@@ -11,55 +11,78 @@ namespace ms::kernels {
 
 namespace {
 
-// Four float lanes.  GCC/Clang vector extensions lower these to SSE at
-// any optimization level, so the block stays vectorized at -O2, where
-// the auto-vectorizer's cheap cost model would not touch a scalar block.
+// GCC/Clang vector types: four lanes (SSE) and eight (AVX2).  They lower
+// to vector instructions at any optimization level, so the block stays
+// vectorized at -O2, where the auto-vectorizer's cheap cost model would
+// not touch a scalar block.
 using F4 = float __attribute__((vector_size(16)));
+using F8 = float __attribute__((vector_size(32)));
 
-inline F4 load4(const float* p) {
-  F4 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-inline void store4(float* p, F4 v) { std::memcpy(p, &v, sizeof v); }
-
-static_assert(SlidingSync::kBlock == 16, "correlate_block is 4 × F4 wide");
 static_assert(SlidingSync::kChunk % SlidingSync::kBlock == 0);
 
+using BlockFn = void (*)(const float*, const float*, const float*,
+                         const float*, std::size_t, float*, float*);
+
 // Correlations of the kBlock windows starting at xr/xi (planar capture)
-// against the planar conj reference br/bi of length n.  Lane j
-// accumulates x[j + k]·b[k] over k in order — the oracle's chain for
-// that offset — and the 8 accumulators stay in registers throughout.
-void correlate_block(const float* xr, const float* xi, const float* br,
-                     const float* bi, std::size_t n, float* out_re,
-                     float* out_im) {
-  F4 ar0{}, ar1{}, ar2{}, ar3{};
-  F4 ai0{}, ai1{}, ai2{}, ai3{};
+// against the planar conj reference br/bi of length n, as kBlock / lanes
+// vectors of V.  Lane j accumulates x[j + k]·b[k] over k in order — the
+// oracle's chain for that offset — whatever the vector width, so every
+// instantiation gives the same bits, and the accumulators stay in
+// registers throughout.  Vectors only move through memcpy inside this
+// body, so no function takes or returns a V across an ISA boundary.
+template <class V>
+[[gnu::always_inline]] inline void correlate_block(
+    const float* xr, const float* xi, const float* br, const float* bi,
+    std::size_t n, float* out_re, float* out_im) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+  constexpr std::size_t kVecs = SlidingSync::kBlock / kLanes;
+  static_assert(kVecs * kLanes == SlidingSync::kBlock);
+  V ar[kVecs] = {};
+  V ai[kVecs] = {};
   for (std::size_t k = 0; k < n; ++k) {
     const float cr = br[k];
     const float ci = bi[k];
-    const F4 r0 = load4(xr + k), i0 = load4(xi + k);
-    ar0 += r0 * cr - i0 * ci;
-    ai0 += r0 * ci + i0 * cr;
-    const F4 r1 = load4(xr + k + 4), i1 = load4(xi + k + 4);
-    ar1 += r1 * cr - i1 * ci;
-    ai1 += r1 * ci + i1 * cr;
-    const F4 r2 = load4(xr + k + 8), i2 = load4(xi + k + 8);
-    ar2 += r2 * cr - i2 * ci;
-    ai2 += r2 * ci + i2 * cr;
-    const F4 r3 = load4(xr + k + 12), i3 = load4(xi + k + 12);
-    ar3 += r3 * cr - i3 * ci;
-    ai3 += r3 * ci + i3 * cr;
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      V r, i;
+      std::memcpy(&r, xr + k + v * kLanes, sizeof r);
+      std::memcpy(&i, xi + k + v * kLanes, sizeof i);
+      ar[v] += r * cr - i * ci;
+      ai[v] += r * ci + i * cr;
+    }
   }
-  store4(out_re, ar0);
-  store4(out_re + 4, ar1);
-  store4(out_re + 8, ar2);
-  store4(out_re + 12, ar3);
-  store4(out_im, ai0);
-  store4(out_im + 4, ai1);
-  store4(out_im + 8, ai2);
-  store4(out_im + 12, ai3);
+  for (std::size_t v = 0; v < kVecs; ++v) {
+    std::memcpy(out_re + v * kLanes, &ar[v], sizeof ar[v]);
+    std::memcpy(out_im + v * kLanes, &ai[v], sizeof ai[v]);
+  }
+}
+
+// 4 × F4 accumulators per component.
+void correlate_block_sse(const float* xr, const float* xi, const float* br,
+                         const float* bi, std::size_t n, float* out_re,
+                         float* out_im) {
+  correlate_block<F4>(xr, xi, br, bi, n, out_re, out_im);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#define MS_SLIDING_SYNC_AVX2 1
+// 2 × F8 accumulators per component over the same 16 offsets.  Only
+// "avx2": the clone must not gain "fma", which would let the compiler
+// contract the multiply-adds and change the bits (the library is also
+// built with -ffp-contract=off).
+__attribute__((target("avx2"))) void correlate_block_avx2(
+    const float* xr, const float* xi, const float* br, const float* bi,
+    std::size_t n, float* out_re, float* out_im) {
+  correlate_block<F8>(xr, xi, br, bi, n, out_re, out_im);
+}
+#endif
+
+BlockFn block_fn(SlidingSync::Isa isa) {
+  MS_CHECK(SlidingSync::isa_supported(isa));
+#ifdef MS_SLIDING_SYNC_AVX2
+  if (isa == SlidingSync::Isa::Avx2) return correlate_block_avx2;
+#endif
+  return correlate_block_sse;
 }
 
 }  // namespace
@@ -73,7 +96,31 @@ SlidingSync::SlidingSync(std::span<const Cf> ref)
   }
 }
 
+bool SlidingSync::isa_supported(Isa isa) {
+  if (isa == Isa::Sse) return true;
+#ifdef MS_SLIDING_SYNC_AVX2
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+SlidingSync::Isa SlidingSync::default_isa() {
+  static const Isa isa = isa_supported(Isa::Avx2) ? Isa::Avx2 : Isa::Sse;
+  return isa;
+}
+
+const char* SlidingSync::isa_name(Isa isa) {
+  return isa == Isa::Avx2 ? "avx2" : "sse";
+}
+
 SlidingSync::Peak SlidingSync::peak(std::span<const Cf> rx) const {
+  return peak(rx, default_isa());
+}
+
+SlidingSync::Peak SlidingSync::peak(std::span<const Cf> rx, Isa isa) const {
+  const BlockFn correlate = block_fn(isa);
   const std::size_t len = length();
   MS_CHECK(len > 0 && rx.size() >= len);
   const std::size_t n_off = rx.size() - len + 1;
@@ -105,8 +152,8 @@ SlidingSync::Peak SlidingSync::peak(std::span<const Cf> rx) const {
     std::fill(xi.begin() + n_samples, xi.begin() + padded, 0.0f);
 
     for (std::size_t b0 = 0; b0 < n; b0 += kBlock) {
-      correlate_block(xr.data() + b0, xi.data() + b0, re_.data(),
-                      im_.data(), len, corr_re, corr_im);
+      correlate(xr.data() + b0, xi.data() + b0, re_.data(), im_.data(),
+                len, corr_re, corr_im);
       const std::size_t nb = std::min(kBlock, n - b0);
       for (std::size_t j = 0; j < nb; ++j) {
         const std::size_t off = c0 + b0 + j;

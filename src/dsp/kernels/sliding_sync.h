@@ -14,7 +14,9 @@
 // reference samples outer, offsets inner.  A block of kBlock adjacent
 // offsets keeps its accumulators in vector registers while k walks the
 // reference, so each k step is a contiguous multiply-add over kBlock
-// independent chains.  The capture is deinterleaved to planar re/im in
+// independent chains.  The block is one width-templated body built
+// twice — 4 × 4 lanes (SSE) and 2 × 8 lanes (AVX2, without FMA) — and
+// the AVX2 build runs wherever the CPU supports it.  The capture is deinterleaved to planar re/im in
 // chunks of kChunk offsets carved from the per-thread scratch_arena(),
 // so scratch stays bounded (about 8·(kChunk + length) bytes) whatever the
 // capture length — a whole-capture planar copy would add 8 bytes per
@@ -93,12 +95,24 @@ class SlidingSync {
     double metric = 0.0;     ///< 0 when no window has positive metric
   };
 
+  /// Builds of the correlation block.  Both run one templated body over
+  /// the same 16 offsets (4 × 4 lanes or 2 × 8 lanes), so they give the
+  /// same bits; neither enables FMA.
+  enum class Isa { Sse, Avx2 };
+  /// Whether this CPU runs `isa` (Sse always; Avx2 only on x86 with it).
+  static bool isa_supported(Isa isa);
+  /// The block peak(rx) runs: Avx2 where supported, decided once.
+  static Isa default_isa();
+  static const char* isa_name(Isa isa);  ///< "sse" or "avx2"
+
   /// Argmax over every window start of rx (rx.size() ≥ length()) of the
   /// normalized correlation metric — bitwise the oracle's best metric
   /// and offset on finite captures.  Scratch comes from the calling
   /// thread's scratch_arena(); the object is read-only, so one instance
   /// may serve many threads.
   Peak peak(std::span<const Cf> rx) const;
+  /// peak(rx) on an explicit block build; `isa` must be supported.
+  Peak peak(std::span<const Cf> rx, Isa isa) const;
 
  private:
   std::vector<float> re_;  ///< ref real parts

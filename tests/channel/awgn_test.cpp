@@ -56,6 +56,20 @@ TEST(Awgn, RealVariant) {
   EXPECT_NEAR(linear_to_db(1.0 / noise), 10.0, 0.4);
 }
 
+TEST(Awgn, ComplexNoiseTakesImaginaryDrawFirst) {
+  // Sample i is Cf(second draw, first draw): the order the committed
+  // outputs were generated with, pinned so it no longer rests on the
+  // compiler's argument evaluation order.
+  Rng rng(11), draws(11);
+  const Iq n = complex_noise(3, 2.0, rng);  // sigma = 1
+  for (const Cf& v : n) {
+    const float first = static_cast<float>(draws.normal(0.0, 1.0));
+    const float second = static_cast<float>(draws.normal(0.0, 1.0));
+    EXPECT_EQ(v.imag(), first);
+    EXPECT_EQ(v.real(), second);
+  }
+}
+
 TEST(Awgn, DeterministicGivenSeed) {
   Rng a(7), b(7);
   const Iq x(100, Cf(1.0f, 1.0f));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "channel/awgn.h"
@@ -101,8 +102,9 @@ TEST(FreqShift, AlignedOverlayDecodesThroughShiftChain) {
   cfg.oscillator_ppm = 10.0;
   const Iq shifted = tag_square_shift(wave, fs, cfg);
   const Iq rx = receiver_downmix(shifted, fs, cfg.shift_hz);
+  const std::size_t ref_len = std::min<std::size_t>(2000, wave.size());
   const double offset = estimate_offset_hz(
-      rx, std::span<const Cf>(wave).first(2000), fs, 60e3, 61);
+      rx, std::span<const Cf>(wave).first(ref_len), fs, 60e3, 61);
   const Iq aligned = receiver_downmix(rx, fs, 0.0, offset);
 
   const OverlayDecoded out = codec.decode(aligned, n_seq);

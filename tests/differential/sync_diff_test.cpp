@@ -6,11 +6,16 @@
 // SyncResult on both sides and the metric bits, preamble_start and
 // payload_start are all checked — including noise-only and all-zero
 // captures whose peaks a real min_metric would reject.
+//
+// Every capture also runs through each build of the correlation block
+// the CPU supports (SSE, and AVX2 where present), called explicitly, so
+// the block synchronize() does not pick by default is checked as well.
 #include "diff_harness.h"
 
 #include <optional>
 #include <vector>
 
+#include "core/ident/templates.h"
 #include "core/overlay/receiver.h"
 
 namespace ms {
@@ -18,6 +23,7 @@ namespace {
 
 using kernels::KernelPath;
 using kernels::SlidingSync;
+using Isa = SlidingSync::Isa;
 
 constexpr std::size_t kBlock = SlidingSync::kBlock;
 constexpr std::size_t kChunk = SlidingSync::kChunk;
@@ -41,16 +47,34 @@ void expect_same_sync(const std::optional<SyncResult>& fast,
       << " ref=" << ref->metric;
 }
 
+/// One block build's peak against the oracle's full (min_metric 0)
+/// result: no window scored gives offset 0 and metric 0 on both sides.
+void expect_same_peak(const SlidingSync::Peak& peak, const SyncResult& ref,
+                      const std::string& ctx) {
+  EXPECT_EQ(peak.offset, ref.preamble_start) << ctx;
+  EXPECT_EQ(std::memcmp(&peak.metric, &ref.metric, sizeof(double)), 0)
+      << "metric (" << ctx << "): block=" << peak.metric
+      << " ref=" << ref.metric;
+}
+
 /// Both paths at min_metric 0 (full result) and at the default 0.5
-/// (the nullopt decision callers see).
-void expect_same_both_thresholds(const OverlayReceiver& rx,
+/// (the nullopt decision callers see), then every supported block
+/// build of protocol p's preamble correlator against the oracle.
+void expect_same_both_thresholds(Protocol p, const OverlayReceiver& rx,
                                  std::span<const Cf> capture,
                                  const std::string& ctx) {
-  expect_same_sync(rx.synchronize(capture, 0.0, KernelPath::Fast),
-                   rx.synchronize(capture, 0.0, KernelPath::Reference), ctx);
+  const auto ref = rx.synchronize(capture, 0.0, KernelPath::Reference);
+  expect_same_sync(rx.synchronize(capture, 0.0, KernelPath::Fast), ref, ctx);
   expect_same_sync(rx.synchronize(capture, 0.5, KernelPath::Fast),
                    rx.synchronize(capture, 0.5, KernelPath::Reference),
                    ctx + " min_metric=0.5");
+  if (!ref) return;
+  const SlidingSync sync(clean_preamble(p, /*extended=*/false));
+  for (Isa isa : {Isa::Sse, Isa::Avx2}) {
+    if (!SlidingSync::isa_supported(isa)) continue;
+    expect_same_peak(sync.peak(capture, isa), *ref,
+                     ctx + " block=" + SlidingSync::isa_name(isa));
+  }
 }
 
 /// [lead noise][preamble + tag-modulated carrier][tail noise], AWGN over
@@ -86,7 +110,7 @@ TEST(SyncDiff, PacketsAcrossProtocolsAndSnr) {
       const std::size_t n_seq = 1 + rng.uniform_int(4);
       const Iq cap = make_capture(rx, n_seq, lead, tail, snr_db, rng);
       expect_same_both_thresholds(
-          rx, cap,
+          p, rx, cap,
           difftest::ctx("%s snr=%.1f lead=%zu n=%zu", name(p),
                         snr_db, lead, cap.size()));
     }
@@ -104,7 +128,7 @@ TEST(SyncDiff, RandomSnrAndOffsets) {
       const Iq cap = make_capture(rx, 2, lead, rng.uniform_int(64), snr_db,
                                   rng);
       expect_same_both_thresholds(
-          rx, cap,
+          p, rx, cap,
           difftest::ctx("%s iter=%d snr=%.2f lead=%zu", name(p),
                         iter, snr_db, lead));
     }
@@ -119,7 +143,7 @@ TEST(SyncDiff, NoiseOnlyCaptures) {
       const std::size_t n = rx.preamble_samples() + rng.uniform_int(1500);
       const Iq cap = noise_only(n, rng);
       expect_same_both_thresholds(
-          rx, cap,
+          p, rx, cap,
           difftest::ctx("%s noise iter=%d n=%zu", name(p), iter, n));
     }
   }
@@ -140,10 +164,10 @@ TEST(SyncDiff, LengthsAroundBlockWidth) {
           2 * kBlock - 1, 2 * kBlock + 1}) {
       const std::size_t n = len + windows - 1;
       expect_same_both_thresholds(
-          rx, std::span<const Cf>(cap).first(n),
+          p, rx, std::span<const Cf>(cap).first(n),
           difftest::ctx("%s packet windows=%zu", name(p), windows));
       expect_same_both_thresholds(
-          rx, std::span<const Cf>(noise).first(n),
+          p, rx, std::span<const Cf>(noise).first(n),
           difftest::ctx("%s noise windows=%zu", name(p), windows));
     }
   }
@@ -164,7 +188,7 @@ TEST(SyncDiff, LengthsAroundChunkBoundary) {
       const std::size_t n = len + windows - 1;
       ASSERT_LE(n, cap.size());
       expect_same_both_thresholds(
-          rx, std::span<const Cf>(cap).first(n),
+          p, rx, std::span<const Cf>(cap).first(n),
           difftest::ctx("%s windows=%zu lead=%zu", name(p), windows,
                         lead));
     }
@@ -187,11 +211,11 @@ TEST(SyncDiff, LeadingZeroRegions) {
       cap.insert(cap.end(), packet.begin(), packet.end());
       cap.resize(cap.size() + len + 9, Cf(0.0f, 0.0f));  // zero tail too
       expect_same_both_thresholds(
-          rx, cap, difftest::ctx("%s zeros=%zu", name(p), zeros));
+          p, rx, cap, difftest::ctx("%s zeros=%zu", name(p), zeros));
     }
     const Iq silent(len + kBlock + 3, Cf(0.0f, 0.0f));
     expect_same_both_thresholds(
-        rx, silent, difftest::ctx("%s all-zero", name(p)));
+        p, rx, silent, difftest::ctx("%s all-zero", name(p)));
   }
 }
 
@@ -207,7 +231,7 @@ TEST(SyncDiff, AmplitudeScalesFromTinyToHuge) {
       Iq scaled = cap;
       for (Cf& v : scaled) v *= scale;
       expect_same_both_thresholds(
-          rx, scaled,
+          p, rx, scaled,
           difftest::ctx("%s scale=%g", name(p),
                         static_cast<double>(scale)));
     }
@@ -230,10 +254,20 @@ TEST(SyncDiff, LoudBurstLeavesEnergyResidue) {
           make_capture(rx, 1, rng.uniform_int(len), 20, 20.0, rng);
       cap.insert(cap.end(), packet.begin(), packet.end());
       expect_same_both_thresholds(
-          rx, cap,
+          p, rx, cap,
           difftest::ctx("%s burst=%zu iter=%d", name(p), burst, iter));
     }
   }
+}
+
+TEST(SyncDiff, Avx2BlockRunsWhereSupported) {
+  // The suites above check each supported block build explicitly; this
+  // test makes a CPU without AVX2, where the avx2 legs cannot run,
+  // show up as a skip rather than a silent pass.
+  if (!SlidingSync::isa_supported(Isa::Avx2))
+    GTEST_SKIP() << "CPU has no AVX2: only the sse block was checked";
+  EXPECT_EQ(SlidingSync::default_isa(), Isa::Avx2);
+  EXPECT_STREQ(SlidingSync::isa_name(SlidingSync::default_isa()), "avx2");
 }
 
 }  // namespace
