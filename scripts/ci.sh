@@ -2,7 +2,8 @@
 # Full CI sweep: Release build + the four labeled ctest suites (unit,
 # property, integration, golden) — the property label includes the
 # bitpack equivalence, multipath-trajectory, PHY fast-path
-# differential, and fleet capture/superposition suites, and the unit
+# differential (with the noise, FIR and calibration-search oracle
+# suites), and fleet capture/superposition suites, and the unit
 # label the workload/degradation/time-varying-channel/fleet suites, so
 # all of them get an ASan+UBSan pass below for free — then the
 # bench-smoke label (which includes the threads-1 vs threads-8

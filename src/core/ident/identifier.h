@@ -51,7 +51,7 @@ struct IdentifierConfig {
   double min_trigger_v = 0.05;
   /// Ordered-matching thresholds indexed by protocol_index(); defaults
   /// come from the brute-force search the paper describes (§2.3.2) —
-  /// see calibrate_thresholds() in sim/ident_experiment.h.
+  /// see calibrate_ordered_matching() in sim/ident_experiment.h.
   std::array<double, 4> thresholds = {0.55, 0.55, 0.50, 0.45};
   std::array<Protocol, 4> order = {Protocol::Zigbee, Protocol::Ble,
                                    Protocol::WifiB, Protocol::WifiN};

@@ -1,5 +1,6 @@
 #include "dsp/fir.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -48,21 +49,46 @@ std::vector<float> design_gaussian(double bt, std::size_t sps,
 
 namespace {
 
+/// out[i] = Σ_k x[i + delay - k] * taps[k] over the k whose sample lies
+/// in x, summed in ascending k from T{}.  Outputs whose window lies
+/// inside x run tap-outer, so the inner loop is a plain axpy that the
+/// compiler vectorizes; each output still sees the same additions in
+/// the same order, so the result is bit-identical to the per-output
+/// loop the edges keep.
 template <typename T>
 std::vector<T> convolve_same(std::span<const T> x, std::span<const float> taps) {
   MS_CHECK(!taps.empty());
-  std::vector<T> out(x.size(), T{});
-  const std::ptrdiff_t delay = static_cast<std::ptrdiff_t>(taps.size() / 2);
-  for (std::size_t i = 0; i < x.size(); ++i) {
+  const std::size_t n = x.size();
+  const std::size_t m = taps.size();
+  const std::size_t delay = m / 2;
+  std::vector<T> out(n, T{});
+  const auto edge = [&](std::size_t i) {
     T acc{};
-    for (std::size_t k = 0; k < taps.size(); ++k) {
-      const std::ptrdiff_t j =
-          static_cast<std::ptrdiff_t>(i) + delay - static_cast<std::ptrdiff_t>(k);
-      if (j >= 0 && j < static_cast<std::ptrdiff_t>(x.size()))
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::ptrdiff_t j = static_cast<std::ptrdiff_t>(i + delay) -
+                               static_cast<std::ptrdiff_t>(k);
+      if (j >= 0 && j < static_cast<std::ptrdiff_t>(n))
         acc += x[static_cast<std::size_t>(j)] * taps[k];
     }
     out[i] = acc;
+  };
+  // Interior outputs [lo, hi): every x[i + delay - k] is in range.
+  const std::size_t lo = m - 1 - delay;
+  const std::size_t hi = std::max(lo, n > delay ? n - delay : 0);
+  for (std::size_t i = 0; i < std::min(lo, n); ++i) edge(i);
+  if (lo < hi) {
+    // A Cf is two floats (std::complex's array-access guarantee), and a
+    // complex times a real tap is two independent float products.
+    const std::size_t len = (hi - lo) * (sizeof(T) / sizeof(float));
+    float* dst = reinterpret_cast<float*>(out.data() + lo);
+    for (std::size_t k = 0; k < m; ++k) {
+      const float* src =
+          reinterpret_cast<const float*>(x.data() + lo + delay - k);
+      const float h = taps[k];
+      for (std::size_t q = 0; q < len; ++q) dst[q] += src[q] * h;
+    }
   }
+  for (std::size_t i = hi; i < n; ++i) edge(i);
   return out;
 }
 

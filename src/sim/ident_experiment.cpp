@@ -1,7 +1,9 @@
 #include "sim/ident_experiment.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "channel/awgn.h"
 #include "common/error.h"
@@ -183,12 +185,7 @@ IdentResult run_ident_experiment(TrialRunner& runner,
 
 namespace {
 
-struct CalTrial {
-  std::size_t truth;
-  std::array<double, 4> scores;
-};
-
-std::vector<CalTrial> collect_calibration_trials(
+std::vector<CalibrationTrial> collect_calibration_trials(
     IdentTrialConfig cfg, std::size_t trials_per_protocol) {
   cfg.ident.decision = DecisionMode::Ordered;
   const ProtocolIdentifier identifier(cfg.ident);
@@ -196,7 +193,7 @@ std::vector<CalTrial> collect_calibration_trials(
   // run_grid returns the trials already in (protocol, trial) order.
   return runner.run_grid(
       kAllProtocols.size(), trials_per_protocol,
-      [&](std::size_t point, std::size_t, Rng& rng) -> CalTrial {
+      [&](std::size_t point, std::size_t, Rng& rng) -> CalibrationTrial {
         const Protocol p = kAllProtocols[point];
         return {point, identifier.scores(make_ident_trace(p, cfg, rng))};
       });
@@ -204,88 +201,115 @@ std::vector<CalTrial> collect_calibration_trials(
 
 constexpr std::array<double, 12> kThresholdGrid = {
     0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50, 0.60, 0.70, 0.80, 0.90};
+constexpr std::size_t kGrid = kThresholdGrid.size();
 
-struct ThresholdSearch {
-  double acc = -1.0;
-  std::array<double, 4> thr{};
+/// The calibration trials as bitsets (bit t of a set = trial t), built
+/// once and shared by every order's search.
+struct TrialIndex {
+  std::size_t words = 0;
+  std::vector<std::uint64_t> above;  ///< [protocol][grid point][word]:
+                                     ///  score > kThresholdGrid[j]
+  std::vector<std::uint64_t> truth;  ///< [protocol][word]
+  std::array<std::size_t, 4> total{};
+
+  explicit TrialIndex(std::span<const CalibrationTrial> trials)
+      : words((trials.size() + 63) / 64),
+        above(4 * kGrid * words),
+        truth(4 * words) {
+    for (std::size_t t = 0; t < trials.size(); ++t) {
+      const CalibrationTrial& tr = trials[t];
+      MS_CHECK(tr.truth < 4);
+      const std::size_t w = t / 64;
+      const std::uint64_t bit = std::uint64_t{1} << (t % 64);
+      truth[tr.truth * words + w] |= bit;
+      ++total[tr.truth];
+      for (std::size_t i = 0; i < 4; ++i)
+        for (std::size_t j = 0; j < kGrid; ++j)
+          if (tr.scores[i] > kThresholdGrid[j])
+            above[(i * kGrid + j) * words + w] |= bit;
+    }
+  }
+  const std::uint64_t* above_set(std::size_t i, std::size_t j) const {
+    return above.data() + (i * kGrid + j) * words;
+  }
+  const std::uint64_t* truth_set(std::size_t i) const {
+    return truth.data() + i * words;
+  }
 };
 
-/// Scan (t1, t2, t3) for one fixed outer threshold t0 and matching order.
-ThresholdSearch search_inner(const std::vector<CalTrial>& trials,
-                             const std::array<Protocol, 4>& order,
-                             double t0) {
+/// Grid search for one order.  A trial is decided at the first level k
+/// whose score clears t_k, so level k's correct count depends only on
+/// t0..t_k: each level splits the set its parent left undecided once
+/// per threshold.  The counts are the ones the per-trial scan tallied,
+/// the accuracy is the same double expression, and the tuples are
+/// visited in the same lexicographic order with the same strict `>`, so
+/// the result is bit-identical.
+ThresholdSearch search_index(const TrialIndex& ix,
+                             const std::array<Protocol, 4>& order) {
+  std::array<std::size_t, 4> lvl{};
+  for (std::size_t k = 0; k < 4; ++k) lvl[k] = protocol_index(order[k]);
+  MS_CHECK(std::is_permutation(lvl.begin(), lvl.end(),
+                               std::array<std::size_t, 4>{0, 1, 2, 3}.begin()));
+  const std::size_t nw = ix.words;
+  // undecided[k]: trials no level before k claimed; level 3 writes an
+  // unused fifth set.  Padding bits past the last trial may be set: every
+  // count ANDs with a truth set, which has none.
+  std::vector<std::uint64_t> undecided(5 * nw, ~std::uint64_t{0});
+  std::array<std::size_t, 4> correct{};
+  const auto split = [&](std::size_t k, std::size_t j) {
+    const std::uint64_t* left = undecided.data() + k * nw;
+    const std::uint64_t* above = ix.above_set(lvl[k], j);
+    const std::uint64_t* truth = ix.truth_set(lvl[k]);
+    std::uint64_t* next = undecided.data() + (k + 1) * nw;
+    std::size_t c = 0;
+    for (std::size_t w = 0; w < nw; ++w) {
+      c += static_cast<std::size_t>(
+          std::popcount(left[w] & above[w] & truth[w]));
+      next[w] = left[w] & ~above[w];
+    }
+    correct[lvl[k]] = c;
+  };
+  std::array<std::size_t, 4> best_j{};
   ThresholdSearch best;
-  for (double t1 : kThresholdGrid)
-    for (double t2 : kThresholdGrid)
-      for (double t3 : kThresholdGrid) {
-        std::array<double, 4> thr{};
-        thr[protocol_index(order[0])] = t0;
-        thr[protocol_index(order[1])] = t1;
-        thr[protocol_index(order[2])] = t2;
-        thr[protocol_index(order[3])] = t3;
-        std::array<std::size_t, 4> correct{}, total{};
-        for (const CalTrial& tr : trials) {
-          std::size_t det = 4;
-          for (Protocol p : order) {
-            const std::size_t idx = protocol_index(p);
-            if (tr.scores[idx] > thr[idx]) {
-              det = idx;
-              break;
-            }
+  for (std::size_t j0 = 0; j0 < kGrid; ++j0) {
+    split(0, j0);
+    for (std::size_t j1 = 0; j1 < kGrid; ++j1) {
+      split(1, j1);
+      for (std::size_t j2 = 0; j2 < kGrid; ++j2) {
+        split(2, j2);
+        for (std::size_t j3 = 0; j3 < kGrid; ++j3) {
+          split(3, j3);
+          double acc = 0.0;
+          for (std::size_t i = 0; i < 4; ++i)
+            acc += ix.total[i] ? static_cast<double>(correct[i]) /
+                                     static_cast<double>(ix.total[i])
+                               : 0.0;
+          acc /= 4.0;
+          if (acc > best.acc) {
+            best.acc = acc;
+            best_j = {j0, j1, j2, j3};
           }
-          ++total[tr.truth];
-          if (det == tr.truth) ++correct[tr.truth];
-        }
-        double acc = 0.0;
-        for (std::size_t i = 0; i < 4; ++i)
-          acc += total[i] ? static_cast<double>(correct[i]) /
-                                static_cast<double>(total[i])
-                          : 0.0;
-        acc /= 4.0;
-        if (acc > best.acc) {
-          best.acc = acc;
-          best.thr = thr;
         }
       }
-  return best;
-}
-
-/// Full grid search for one matching order (serial; callers parallelize
-/// one level up so the pool is never entered twice).
-ThresholdSearch search_thresholds(const std::vector<CalTrial>& trials,
-                                  const std::array<Protocol, 4>& order) {
-  ThresholdSearch best;
-  for (double t0 : kThresholdGrid) {
-    const ThresholdSearch s = search_inner(trials, order, t0);
-    if (s.acc > best.acc) best = s;
+    }
   }
+  for (std::size_t k = 0; k < 4; ++k)
+    best.thr[lvl[k]] = kThresholdGrid[best_j[k]];
   return best;
 }
 
 }  // namespace
 
-std::array<double, 4> calibrate_thresholds(IdentTrialConfig cfg,
-                                           std::size_t trials_per_protocol) {
-  const std::vector<CalTrial> trials =
-      collect_calibration_trials(cfg, trials_per_protocol);
-  // Fan the outermost threshold loop out across the pool; the argmax
-  // merge walks the grid in its serial iteration order, so ties resolve
-  // exactly as the single-threaded loop did.
-  TrialRunner runner({cfg.threads, cfg.seed});
-  const auto partials = runner.map_points(
-      kThresholdGrid.size(), [&](std::size_t i, Rng&) -> ThresholdSearch {
-        return search_inner(trials, cfg.ident.order, kThresholdGrid[i]);
-      });
-  ThresholdSearch best;
-  for (const ThresholdSearch& s : partials)
-    if (s.acc > best.acc) best = s;
-  return best.acc >= 0.0 ? best.thr : cfg.ident.thresholds;
+ThresholdSearch search_order_thresholds(
+    std::span<const CalibrationTrial> trials,
+    const std::array<Protocol, 4>& order) {
+  return search_index(TrialIndex(trials), order);
 }
 
 OrderedCalibration calibrate_ordered_matching(
     IdentTrialConfig cfg, std::size_t trials_per_protocol) {
-  const std::vector<CalTrial> trials =
-      collect_calibration_trials(cfg, trials_per_protocol);
+  const TrialIndex index(
+      collect_calibration_trials(cfg, trials_per_protocol));
   // All 24 permutations × the full threshold grid (§2.3.2's brute
   // force), one task per matching order.  Merging in permutation order
   // reproduces the serial next_permutation scan byte for byte.
@@ -299,7 +323,7 @@ OrderedCalibration calibrate_ordered_matching(
   TrialRunner runner({cfg.threads, cfg.seed});
   const auto searched = runner.map_points(
       orders.size(), [&](std::size_t i, Rng&) -> ThresholdSearch {
-        return search_thresholds(trials, orders[i]);
+        return search_index(index, orders[i]);
       });
 
   OrderedCalibration best;

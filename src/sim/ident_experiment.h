@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 
 #include "channel/multipath.h"
 #include "common/rng.h"
@@ -68,13 +69,6 @@ IdentResult run_ident_experiment(TrialRunner& runner,
                                  const IdentTrialConfig& cfg,
                                  std::size_t trials_per_protocol);
 
-/// Brute-force threshold search for ordered matching (§2.3.2): sweeps a
-/// coarse threshold grid on calibration trials and returns the
-/// per-protocol thresholds that maximize average accuracy (for the order
-/// already in cfg.ident.order).
-std::array<double, 4> calibrate_thresholds(IdentTrialConfig cfg,
-                                           std::size_t trials_per_protocol);
-
 /// Full §2.3.2 search: all 24 matching orders × the threshold grid.
 /// Returns the best (order, thresholds) pair by average accuracy.
 struct OrderedCalibration {
@@ -84,5 +78,27 @@ struct OrderedCalibration {
 };
 OrderedCalibration calibrate_ordered_matching(IdentTrialConfig cfg,
                                               std::size_t trials_per_protocol);
+
+/// One calibration trial: the true protocol's index (0..3) and the four
+/// ordered-matching scores, indexed by protocol_index().
+struct CalibrationTrial {
+  std::size_t truth = 0;
+  std::array<double, 4> scores{};
+};
+
+/// Best grid point of one matching order: average accuracy (-1 when
+/// nothing was searched) and the thresholds indexed by protocol_index().
+struct ThresholdSearch {
+  double acc = -1.0;
+  std::array<double, 4> thr{};
+};
+
+/// The §2.3.2 threshold search for one matching order: the first
+/// (t0, t1, t2, t3) of the 12^4 grid, in lexicographic order along
+/// `order`, with the highest average accuracy over `trials`.  `order`
+/// must be a permutation of the four protocols.
+ThresholdSearch search_order_thresholds(
+    std::span<const CalibrationTrial> trials,
+    const std::array<Protocol, 4>& order);
 
 }  // namespace ms

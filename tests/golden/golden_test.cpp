@@ -59,7 +59,9 @@ INSTANTIATE_TEST_SUITE_P(
                       "ble_gfsk_softbits.txt",
                       "ofdm_deinterleaved_bits.txt",
                       "fleet_superposed_2tag.txt",
-                      "fleet_superposed_3tag.txt"),
+                      "fleet_superposed_3tag.txt",
+                      "ident_acquired_trace.txt",
+                      "ident_ordered_calibration.txt"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name)
@@ -69,7 +71,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The builder list and the parameter list above must stay in sync.
 TEST(GoldenCorpus, CoversEveryBuilder) {
-  EXPECT_EQ(build_all().size(), 10u);
+  EXPECT_EQ(build_all().size(), 12u);
 }
 
 }  // namespace

@@ -2,19 +2,23 @@
 
 #include <cstdio>
 
+#include "channel/awgn.h"
 #include "channel/superposition.h"
 #include "common/bits.h"
 #include "common/rng.h"
+#include "core/ident/frontend.h"
 #include "core/ident/templates.h"
 #include "core/overlay/frame.h"
 #include "core/overlay/overlay.h"
 #include "dsp/iq.h"
+#include "dsp/ops.h"
 #include "phy/ble/ble.h"
 #include "phy/dsss/barker.h"
 #include "phy/dsss/cck.h"
 #include "phy/interleaver.h"
 #include "phy/whitening.h"
 #include "phy/zigbee/zigbee.h"
+#include "sim/ident_experiment.h"
 
 namespace ms::golden {
 namespace {
@@ -28,6 +32,12 @@ std::string fmt_cf(Cf v) {
 
 void append_iq(std::vector<std::string>& lines, const Iq& iq) {
   for (Cf v : iq) lines.push_back(fmt_cf(v));
+}
+
+std::string hex_double(double x) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%a", x);
+  return buf;
 }
 
 std::string bits_line(const Bits& bits) {
@@ -164,11 +174,7 @@ Vector gfsk_softbits_vector() {
     const BlePhy phy(cfg);
     const Samples freqs =
         phy.symbol_frequencies(phy.modulate_bits(bits), bits.size());
-    for (float f : freqs) {
-      char buf[48];
-      std::snprintf(buf, sizeof buf, "%a", static_cast<double>(f));
-      v.lines.push_back(buf);
-    }
+    for (float f : freqs) v.lines.push_back(hex_double(f));
   }
   return v;
 }
@@ -220,6 +226,68 @@ Vector fleet_superposed_vector(const char* filename, std::size_t n_tags) {
   return v;
 }
 
+// Identification acquisition: acquire_trace of each protocol's extended
+// clean preamble plus seeded 20 dB AWGN, at the Fig 7 (10 Msps) and
+// Fig 8b (2.5 Msps) ADC rates.  One header line per trace,
+//   <protocol> <adc_rate_hz> <nsamples>
+// then one ADC sample per line.  Pins the front-end FIR, envelope,
+// FM-to-AM, rectifier ODE and 9-bit ADC chain every ident trial runs.
+Vector ident_acquired_trace_vector() {
+  Vector v{"ident_acquired_trace.txt", {}};
+  for (double adc_rate_hz : {10e6, 2.5e6}) {
+    for (Protocol p : kAllProtocols) {
+      const Iq clean = clean_preamble(p, /*extended=*/true);
+      Rng rng(0x1de7000 + protocol_index(p));
+      const double noise_power =
+          mean_power(std::span<const Cf>(clean)) / 100.0;
+      const Iq noisy = add_noise_power(clean, noise_power, rng);
+      const Samples trace =
+          acquire_trace(noisy, native_sample_rate(p), adc_rate_hz);
+      char buf[64];
+      std::snprintf(buf, sizeof buf, " %.0f %zu", adc_rate_hz, trace.size());
+      v.lines.push_back(std::string(protocol_name(p)) + buf);
+      for (float s : trace) v.lines.push_back(hex_double(s));
+    }
+  }
+  return v;
+}
+
+// §2.3.2 ordered-matching calibration at the two ident_mix points
+// (Fig 7: 10 Msps, L_p 20 / L_t 60; Fig 8b: 2.5 Msps, L_p 20 / L_t 80),
+// 1-bit compute, seed 1, 60 trials per protocol.  One line per point:
+//   <adc_rate_hz> <lp> <lt> <order...> <thresholds...> <accuracy>
+// with the doubles in hex.  Pins the winning order, its thresholds and
+// the tie-break of the 24-order x 12^4 grid search.
+Vector ident_calibration_vector() {
+  Vector v{"ident_ordered_calibration.txt", {}};
+  struct Point {
+    double adc_rate_hz;
+    std::size_t lp, lt;
+  };
+  const Point points[] = {{10e6, 20, 60}, {2.5e6, 20, 80}};
+  for (const Point& pt : points) {
+    IdentTrialConfig cfg;
+    cfg.ident.templates.adc_rate_hz = pt.adc_rate_hz;
+    cfg.ident.templates.preprocess_len = pt.lp;
+    cfg.ident.templates.match_len = pt.lt;
+    cfg.ident.compute = ComputeMode::OneBit;
+    cfg.seed = 1;
+    const OrderedCalibration cal = calibrate_ordered_matching(cfg, 60);
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.0f %zu %zu", pt.adc_rate_hz, pt.lp,
+                  pt.lt);
+    std::string line = buf;
+    for (Protocol p : cal.order) {
+      line += ' ';
+      line += protocol_name(p);
+    }
+    for (double t : cal.thresholds) line += " " + hex_double(t);
+    line += " " + hex_double(cal.calibration_accuracy);
+    v.lines.push_back(line);
+  }
+  return v;
+}
+
 }  // namespace
 
 std::vector<Vector> build_all() {
@@ -228,7 +296,8 @@ std::vector<Vector> build_all() {
           overlay_vector(),  packed_template_vector(),
           gfsk_softbits_vector(), ofdm_deinterleave_vector(),
           fleet_superposed_vector("fleet_superposed_2tag.txt", 2),
-          fleet_superposed_vector("fleet_superposed_3tag.txt", 3)};
+          fleet_superposed_vector("fleet_superposed_3tag.txt", 3),
+          ident_acquired_trace_vector(), ident_calibration_vector()};
 }
 
 }  // namespace ms::golden

@@ -1,5 +1,6 @@
 // Golden-vector corpus: exact reference outputs of the PHY chip/bit
-// pipelines, recomputed from the live code and compared line-for-line
+// pipelines and the identification chain (acquisition, calibration),
+// recomputed from the live code and compared line-for-line
 // against the fixtures committed under tests/golden/.  A mismatch means
 // the on-air waveform drifted; if the change is intentional, regenerate
 // with scripts/regen_golden.sh and review the fixture diff.
@@ -18,7 +19,7 @@ struct Vector {
   std::vector<std::string> lines;
 };
 
-/// Recompute every golden vector from the live PHY code.
+/// Recompute every golden vector from the live code.
 std::vector<Vector> build_all();
 
 }  // namespace ms::golden
