@@ -2,10 +2,12 @@
 # Full CI sweep: Release build + the four labeled ctest suites (unit,
 # property, integration, golden) — the property label includes the
 # bitpack equivalence, multipath-trajectory, PHY fast-path
-# differential (with the noise, FIR and calibration-search oracle
-# suites), and fleet capture/superposition suites, and the unit
-# label the workload/degradation/time-varying-channel/fleet suites, so
-# all of them get an ASan+UBSan pass below for free — then the
+# differential (with the noise, FIR, calibration-search and
+# contention-walk oracle suites), and fleet capture/superposition
+# suites, and the unit label the workload/degradation/
+# time-varying-channel/fleet suites and the telemetry concurrency test
+# (4 threads observing while a fifth registers metrics), so all of
+# them get an ASan+UBSan pass below for free — then the
 # bench-smoke label (which includes the threads-1 vs threads-8
 # byte-identity gates for the waveform cache, the workload scorecard,
 # the kernel fast path, and the many-tag scale sweep), a bench-perf

@@ -127,6 +127,57 @@ void Rng::fill_normal(std::span<double> out) {
 
 bool Rng::chance(double p) { return uniform() < p; }
 
+std::size_t Rng::chance_normal_hits(std::size_t n, double p,
+                                    std::span<std::uint32_t> rounds,
+                                    std::span<double> z) {
+  MS_CHECK(rounds.size() >= n && z.size() >= n && n <= 0xffffffffull);
+  // The spare normal() would return next: known outright when carried
+  // in or when its pair was evaluated, else kept as its polar v and q.
+  bool pending = has_spare_;
+  bool known = true;
+  double spare = spare_, pend_v = 0.0, pend_q = 0.0;
+  const auto spare_value = [&] {
+    return known ? spare
+                 : pend_v * std::sqrt(-2.0 * std::log(pend_q) / pend_q);
+  };
+  std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+  std::size_t hits = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    const bool hit =
+        static_cast<double>(xoshiro_next(s) >> 11) * 0x1.0p-53 < p;
+    if (pending) {
+      pending = false;
+      if (hit) {
+        rounds[hits] = static_cast<std::uint32_t>(r);
+        z[hits++] = spare_value();
+      }
+      continue;
+    }
+    double u, v, q;
+    do {
+      u = polar_coord(xoshiro_next(s));
+      v = polar_coord(xoshiro_next(s));
+      q = u * u + v * v;
+    } while (q >= 1.0 || q == 0.0);
+    pending = true;
+    if (hit) {
+      const double m = std::sqrt(-2.0 * std::log(q) / q);
+      rounds[hits] = static_cast<std::uint32_t>(r);
+      z[hits++] = u * m;
+      spare = v * m;
+      known = true;
+    } else {
+      pend_v = v;
+      pend_q = q;
+      known = false;
+    }
+  }
+  if (pending) spare_ = spare_value();
+  has_spare_ = pending;
+  std::copy(s, s + 4, s_);
+  return hits;
+}
+
 Bits Rng::bits(std::size_t n) {
   Bits out(n);
   for (auto& b : out) b = static_cast<uint8_t>((*this)() & 1u);

@@ -47,6 +47,15 @@ class Rng {
   static constexpr std::size_t kNormalBatch = 64;
   /// Bernoulli draw with probability p of returning true.
   bool chance(double p);
+  /// n rounds of `hit = chance(p); z = normal();`, taking the same raw
+  /// draws and leaving the same state (cached spare included) as those
+  /// calls, but evaluating the polar log/sqrt only for rounds that hit
+  /// (and at most once more, for a spare left pending on exit).  Writes
+  /// the hit rounds' indices, ascending, to `rounds` and their z to `z`
+  /// (each must hold n; n must fit in 32 bits) and returns how many hit.
+  std::size_t chance_normal_hits(std::size_t n, double p,
+                                 std::span<std::uint32_t> rounds,
+                                 std::span<double> z);
   /// n independent fair bits.
   Bits bits(std::size_t n);
   /// n independent uniform bytes.

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <deque>
 #include <mutex>
 #include <unordered_map>
 
@@ -13,7 +14,7 @@ namespace {
 
 struct Registry {
   std::mutex m;
-  std::vector<MetricDef> defs;
+  std::deque<MetricDef> defs;  ///< push_back never moves an element
   std::unordered_map<std::string, MetricId> by_name;
 };
 
@@ -84,7 +85,7 @@ std::size_t metric_count() {
   return r.defs.size();
 }
 
-MetricDef metric_def(MetricId id) {
+const MetricDef& metric_def(MetricId id) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lk(r.m);
   MS_CHECK_MSG(id < r.defs.size(), "unknown metric id " + std::to_string(id));

@@ -42,7 +42,9 @@ MetricId histogram(const char* name, std::span<const double> upper_bounds);
 
 /// Hot-path recording.  All three are no-ops when no telemetry shard is
 /// installed on this thread (i.e. outside an instrumented run or after
-/// obs::set_enabled(false)).
+/// obs::set_enabled(false)).  None of them takes the registry lock,
+/// except observe() on a shard slot's first touch, which fetches the
+/// histogram's bounds once.
 void add(MetricId id, std::uint64_t n = 1);
 void set(MetricId id, double value);
 void observe(MetricId id, double value);
@@ -54,6 +56,8 @@ struct MetricDef {
   std::vector<double> bounds;  ///< histogram bucket upper bounds
 };
 std::size_t metric_count();
-MetricDef metric_def(MetricId id);  ///< by value: the registry may grow
+/// Stable: a registered def never moves or changes, so the reference
+/// stays valid (and safe to read unlocked) while the registry grows.
+const MetricDef& metric_def(MetricId id);
 
 }  // namespace ms::obs

@@ -103,12 +103,15 @@ void TelemetryShard::set(MetricId id, double value) {
 
 void TelemetryShard::observe(MetricId id, double value) {
   Slot& s = slot(id);
-  const MetricDef def = metric_def(id);
+  // One locked registry lookup per slot; the def never moves, so the
+  // bounds are read through the span without a lock after that.
+  if (s.bounds.empty()) s.bounds = metric_def(id).bounds;
+  const std::span<const double> bounds = s.bounds;
   if (s.buckets.empty())
-    s.buckets.assign(def.bounds.size() + 1, 0);  // sized on first touch
-  std::size_t b = def.bounds.size();  // overflow bucket
-  for (std::size_t i = 0; i < def.bounds.size(); ++i)
-    if (value <= def.bounds[i]) {
+    s.buckets.assign(bounds.size() + 1, 0);  // sized on first touch
+  std::size_t b = bounds.size();  // overflow bucket
+  for (std::size_t i = 0; i < bounds.size(); ++i)
+    if (value <= bounds[i]) {
       b = i;
       break;
     }
@@ -252,7 +255,7 @@ void write_metrics_json(std::ostream& out) {
   // site ran first, which is scheduling-dependent — names are not.
   std::map<std::string, MetricId> counters, gauges, histograms;
   for (MetricId id = 0; id < metric_count(); ++id) {
-    const MetricDef def = metric_def(id);
+    const MetricDef& def = metric_def(id);
     switch (def.kind) {
       case MetricKind::Counter: counters[def.name] = id; break;
       case MetricKind::Gauge: gauges[def.name] = id; break;
@@ -278,7 +281,7 @@ void write_metrics_json(std::ostream& out) {
   out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, id] : histograms) {
-    const MetricDef def = metric_def(id);
+    const MetricDef& def = metric_def(id);
     const TelemetryShard::HistogramValue h = a.shard.histogram_value(id);
     out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
         << "\": {\"bounds\": [";

@@ -84,6 +84,7 @@ class TelemetryShard {
     double value = 0.0;                 // gauge value / histogram sum
     bool written = false;               // gauge was set
     std::vector<std::uint64_t> buckets; // histogram tallies
+    std::span<const double> bounds;     // registry's; set by observe()
   };
   Slot& slot(MetricId id);
   const Slot* find(MetricId id) const;

@@ -17,6 +17,15 @@ void CaptureConfig::validate() const {
                 std::to_string(threshold_db));
 }
 
+std::size_t strongest_contender(std::span<const Contender> by_id) {
+  // Strictly-greater replacement keeps the lowest id on a power tie
+  // (stable identity tie-break, not insertion order).
+  std::size_t win = 0;
+  for (std::size_t i = 1; i < by_id.size(); ++i)
+    if (by_id[i].rx_power_dbm > by_id[win].rx_power_dbm) win = i;
+  return win;
+}
+
 Arbitration arbitrate(std::span<const Contender> contenders,
                       const CaptureConfig& cfg, double noise_dbm) {
   cfg.validate();
@@ -36,11 +45,7 @@ Arbitration arbitrate(std::span<const Contender> contenders,
       throw Error("arbitrate: duplicate contender tag id " +
                   std::to_string(sorted[i].tag_id));
 
-  // Winner scan: strictly-greater replacement keeps the lowest id on a
-  // power tie (stable identity tie-break, not insertion order).
-  std::size_t win = 0;
-  for (std::size_t i = 1; i < sorted.size(); ++i)
-    if (sorted[i].rx_power_dbm > sorted[win].rx_power_dbm) win = i;
+  const std::size_t win = strongest_contender(sorted);
 
   a.winner_id = sorted[win].tag_id;
   a.winner_power_dbm = sorted[win].rx_power_dbm;

@@ -21,6 +21,7 @@
 //    into a collision.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -65,6 +66,12 @@ struct Arbitration {
 /// failed margin defines the outcome).
 Arbitration arbitrate(std::span<const Contender> contenders,
                       const CaptureConfig& cfg, double noise_dbm);
+
+/// Index of the strongest contender in `by_id`, which must be in
+/// ascending tag-id order: a strictly-greater scan, so an exact power
+/// tie keeps the lowest id.  The winner depends only on the powers,
+/// never on the noise floor.  Requires a non-empty span.
+std::size_t strongest_contender(std::span<const Contender> by_id);
 
 /// Airtime-overlap loss model shared with the Fig 16 collision study:
 /// the fraction of a flow's decode chances lost when it shares air with

@@ -88,10 +88,11 @@ void append_bits(std::vector<std::uint8_t>& payload, const Bits& bits) {
 /// contender's backscatter (through the waveform cache, keyed per tag
 /// on the drawn content), superpose through per-tag channels with the
 /// winner at 0 dB, add receiver noise, and decode the winner's overlay.
-/// Returns the winner's measured tag BER.
+/// `contenders` are the slot's fleet indices, `slot` their powers in
+/// the same order.  Returns the winner's measured tag BER.
 double waveform_probe(const ScaleConfig& cfg, const TagFleet& fleet,
                       Rng& cell_rng, std::span<const std::size_t> contenders,
-                      std::span<const double> slot_power_dbm,
+                      std::span<const Contender> slot,
                       std::size_t winner_idx) {
   struct ProbeSource {
     std::shared_ptr<const Iq> wave;  ///< keeps the cache entry alive
@@ -132,7 +133,7 @@ double waveform_probe(const ScaleConfig& cfg, const TagFleet& fleet,
         });
 
     TagChannel& ch = sources[k].channel;
-    ch.gain_db = slot_power_dbm[i] - slot_power_dbm[contenders[winner_idx]];
+    ch.gain_db = slot[k].rx_power_dbm - slot[winner_idx].rx_power_dbm;
     ch.phase_rad = i == contenders[winner_idx] ? 0.0 : phase;
     ch.delay_samples =
         i == contenders[winner_idx] ? 0 : (tag.id % 5) * 2 + 1;
@@ -160,7 +161,7 @@ double waveform_probe(const ScaleConfig& cfg, const TagFleet& fleet,
   for (Cf v : *sources[winner_idx].wave) p_sig += std::norm(v);
   p_sig /= static_cast<double>(std::max<std::size_t>(
       1, sources[winner_idx].wave->size()));
-  const double snr_db = slot_power_dbm[wi] - fleet.noise_dbm(wi);
+  const double snr_db = slot[winner_idx].rx_power_dbm - fleet.noise_dbm(wi);
   Rng noise_rng = cell_rng.fork(kProbeNoiseStream, fleet.tag(wi).id);
   const Iq noise = complex_noise(
       out.size(), p_sig * std::pow(10.0, -snr_db / 10.0), noise_rng);
@@ -192,74 +193,87 @@ ScaleTrial run_scale_trial(const ScaleConfig& cfg, const TagFleet& fleet,
   t.tags = static_cast<std::uint32_t>(n);
   t.slots = static_cast<std::uint32_t>(slots);
 
-  // Per-tag scratch, tag-major so each tag's stream is drawn in one
-  // self-contained pass (the layout docs/SCALE.md documents).
   kernels::SampleArena& arena = kernels::scratch_arena();
   kernels::SampleArena::Scope scope(arena);
-  auto power_dbm = arena.alloc<double>(n * slots);
-  auto transmits = arena.alloc<std::uint8_t>(n * slots);
-  auto wins = arena.alloc<std::uint32_t>(n);
-  std::fill(wins.begin(), wins.end(), 0u);
+  auto tag_end = arena.alloc<std::size_t>(n);
+  auto slot_start = arena.alloc_zero<std::size_t>(slots + 1);
+  auto wins = arena.alloc_zero<std::uint32_t>(n);
 
+  // Contention, tag-major: each tag's stream draws its transmit coin
+  // and then its fading for every slot, and only the slots it
+  // transmits in come back, with their powers (docs/SCALE.md).  The
+  // hit buffers double whenever a whole walk might not fit, so they
+  // grow with the hits, not with n * slots.
+  std::span<std::uint32_t> hit_slot;
+  std::span<double> hit_power;
+  std::size_t hits = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const TagSpec& tag = fleet.tag(i);
-    Rng placement = fleet.tag_stream(cell_rng, kPlacementStream, i);
-    const double radius =
-        tag.tag_rx_distance_m *
-        std::exp(cfg.placement_jitter * placement.normal());
-    const double mean_dbm = fleet.link_for(i).rx_power_dbm(radius);
-    Rng contention = fleet.tag_stream(cell_rng, kContentionStream, i);
-    for (std::size_t s = 0; s < slots; ++s) {
-      transmits[i * slots + s] =
-          contention.chance(tag.tx_probability) ? 1 : 0;
-      power_dbm[i * slots + s] =
-          mean_dbm + contention.normal(0.0, cfg.fading_stddev_db);
+    if (hit_slot.size() - hits < slots) {
+      const std::size_t cap = std::max(2 * hit_slot.size(), hits + slots);
+      auto grown_slot = arena.alloc<std::uint32_t>(cap);
+      auto grown_power = arena.alloc<double>(cap);
+      std::copy_n(hit_slot.begin(), hits, grown_slot.begin());
+      std::copy_n(hit_power.begin(), hits, grown_power.begin());
+      hit_slot = grown_slot;
+      hit_power = grown_power;
     }
+    const TagSpec& tag = fleet.tag(i);
+    Rng contention = fleet.tag_stream(cell_rng, kContentionStream, i);
+    const std::size_t k = contention.chance_normal_hits(
+        slots, tag.tx_probability, hit_slot.subspan(hits),
+        hit_power.subspan(hits));
+    if (k > 0) {
+      // Placement is its own stream, so a tag that never transmits can
+      // skip it without moving any other draw.
+      Rng placement = fleet.tag_stream(cell_rng, kPlacementStream, i);
+      const double radius =
+          tag.tag_rx_distance_m *
+          std::exp(cfg.placement_jitter * placement.normal());
+      const double mean_dbm = fleet.link_for(i).rx_power_dbm(radius);
+      // 0.0 + sd * z is normal(0.0, sd)'s own expression (-0.0 -> +0.0).
+      for (std::size_t h = hits; h < hits + k; ++h) {
+        hit_power[h] = mean_dbm + (0.0 + cfg.fading_stddev_db * hit_power[h]);
+        ++slot_start[hit_slot[h] + 1];
+      }
+    }
+    hits += k;
+    tag_end[i] = hits;
   }
 
-  const double slot_period_s =
-      cfg.excitation.packet_airtime_s() /
-      std::max(1e-12, cfg.excitation.airtime_duty());
-
-  std::vector<Contender> contenders;
-  std::vector<std::size_t> contender_idx;
-  std::vector<double> slot_power(n, 0.0);
-  contenders.reserve(n);
-  contender_idx.reserve(n);
-  bool probed = false;
-
-  for (std::size_t s = 0; s < slots; ++s) {
-    contenders.clear();
-    contender_idx.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!transmits[i * slots + s]) continue;
-      slot_power[i] = power_dbm[i * slots + s];
-      contenders.push_back({fleet.tag(i).id, slot_power[i]});
-      contender_idx.push_back(i);
+  // Stable counting pass: bucket the hits by slot, each slot's
+  // contenders in ascending tag (and so tag-id) order.
+  for (std::size_t s = 0; s < slots; ++s) slot_start[s + 1] += slot_start[s];
+  auto by_slot = arena.alloc<Contender>(hits);
+  auto by_slot_idx = arena.alloc<std::size_t>(hits);
+  auto next = arena.alloc<std::size_t>(slots);
+  std::copy(slot_start.begin(), slot_start.end() - 1, next.begin());
+  for (std::size_t i = 0, h = 0; i < n; ++i)
+    for (; h < tag_end[i]; ++h) {
+      const std::size_t at = next[hit_slot[h]]++;
+      by_slot[at] = {fleet.tag(i).id, hit_power[h]};
+      by_slot_idx[at] = i;
     }
-    obs::observe(tags_per_slot_metric(),
-                 static_cast<double>(contenders.size()));
 
-    // Noise floor of the strongest contender's protocol — evaluated
-    // after arbitration below for decoded slots; idle slots need none.
-    if (contenders.empty()) {
+  bool probed = false;
+  for (std::size_t s = 0; s < slots; ++s) {
+    const std::size_t first = slot_start[s];
+    const std::size_t count = slot_start[s + 1] - first;
+    const std::span<const Contender> contenders =
+        by_slot.subspan(first, count);
+    const std::span<const std::size_t> contender_idx =
+        by_slot_idx.subspan(first, count);
+    obs::observe(tags_per_slot_metric(), static_cast<double>(count));
+    if (count == 0) {
       ++t.idle;
       obs::add(slot_idle_metric());
       continue;
     }
-    // Arbitrate against the noise floor of the (eventual) winner: run a
-    // first pass with a nominal floor, then recompute SINR precisely.
-    Arbitration arb = arbitrate(contenders, fleet.config().capture, -174.0);
-    std::size_t winner_i = contender_idx[0];
-    std::size_t winner_k = 0;
-    for (std::size_t k = 0; k < contender_idx.size(); ++k)
-      if (fleet.tag(contender_idx[k]).id == arb.winner_id) {
-        winner_i = contender_idx[k];
-        winner_k = k;
-        break;
-      }
-    arb = arbitrate(contenders, fleet.config().capture,
-                    fleet.noise_dbm(winner_i));
+    // The winner does not depend on the noise floor, so arbitrate once,
+    // against the winner's own floor.
+    const std::size_t winner_k = strongest_contender(contenders);
+    const std::size_t winner_i = contender_idx[winner_k];
+    const Arbitration arb = arbitrate(contenders, fleet.config().capture,
+                                      fleet.noise_dbm(winner_i));
 
     switch (arb.outcome) {
       case SlotOutcome::Clean:
@@ -294,7 +308,7 @@ ScaleTrial run_scale_trial(const ScaleConfig& cfg, const TagFleet& fleet,
     if (!probed && n <= cfg.waveform_probe_max_tags) {
       probed = true;
       t.waveform_tag_ber = waveform_probe(cfg, fleet, cell_rng,
-                                          contender_idx, slot_power,
+                                          contender_idx, contenders,
                                           winner_k);
     }
   }
@@ -305,7 +319,6 @@ ScaleTrial run_scale_trial(const ScaleConfig& cfg, const TagFleet& fleet,
       obs::observe(tag_win_share_metric(),
                    static_cast<double>(wins[i]) /
                        static_cast<double>(decoded));
-  (void)slot_period_s;  // used by the reduction; kept here for clarity
   return t;
 }
 

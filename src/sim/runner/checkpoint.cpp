@@ -162,7 +162,7 @@ std::string encode_metric_table_record() {
   const std::size_t n = obs::metric_count();
   put_u32(p, static_cast<std::uint32_t>(n));
   for (obs::MetricId id = 0; id < n; ++id) {
-    const obs::MetricDef def = obs::metric_def(id);
+    const obs::MetricDef& def = obs::metric_def(id);
     put_u32(p, id);
     put_u8(p, static_cast<std::uint8_t>(def.kind));
     put_str(p, def.name.c_str());

@@ -1,5 +1,6 @@
 #include "golden_vectors.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "channel/awgn.h"
@@ -18,6 +19,8 @@
 #include "phy/interleaver.h"
 #include "phy/whitening.h"
 #include "phy/zigbee/zigbee.h"
+#include "sim/excitation.h"
+#include "sim/fleet/scale_experiment.h"
 #include "sim/ident_experiment.h"
 
 namespace ms::golden {
@@ -288,6 +291,51 @@ Vector ident_calibration_vector() {
   return v;
 }
 
+// Fleet contention tallies: one analytic-tier trial cell
+// (run_scale_trial) per fleet size, offered load and seed, with the
+// default ScaleConfig on the fleet excitation.  Load 2 is the sweep's
+// slotted-ALOHA point; load 5000 saturates p = 1, so every tag
+// transmits in every slot.  Fleets of at most 8 tags also run the
+// waveform probe.  One line per cell,
+//   <tags> <load> <seed> <tags> <slots> <idle> <clean> <captured>
+//   <collision> <sinr_sum_db> <ber_sum> <goodput_bits> <waveform_tag_ber>
+// with every ScaleTrial field in hex.  Pins the contention walk, the
+// placement draws, arbitration and the per-slot reduction.
+Vector fleet_scale_trials_vector() {
+  Vector v{"fleet_scale_trials.txt", {}};
+  fleet::ScaleConfig cfg;
+  cfg.excitation = fleet_excitation();
+  for (std::uint64_t seed : {1ull, 7919ull}) {
+    for (double load : {2.0, 5000.0}) {
+      for (std::size_t n : {1, 2, 8, 9, 256, 1024}) {
+        fleet::FleetConfig fc;
+        fc.link = cfg.link;
+        fc.excitation = cfg.excitation;
+        fc.capture = cfg.capture;
+        fc.slots_per_trial = cfg.slots_per_trial;
+        fc.fading_stddev_db = cfg.fading_stddev_db;
+        std::vector<fleet::TagSpec> specs =
+            fleet::default_fleet_specs(n, cfg.min_radius_m, cfg.max_radius_m);
+        for (fleet::TagSpec& s : specs)
+          s.tx_probability = std::min(1.0, load / static_cast<double>(n));
+        const fleet::TagFleet fleet(fc, std::move(specs));
+        Rng rng = Rng(seed).fork(n, static_cast<std::uint64_t>(load));
+        const fleet::ScaleTrial t = fleet::run_scale_trial(cfg, fleet, rng);
+        char buf[160];
+        std::snprintf(buf, sizeof buf,
+                      "%zu %.0f %llu 0x%x 0x%x 0x%x 0x%x 0x%x 0x%x", n, load,
+                      static_cast<unsigned long long>(seed), t.tags, t.slots,
+                      t.idle, t.clean, t.captured, t.collision);
+        v.lines.push_back(buf + (" " + hex_double(t.sinr_sum_db)) + " " +
+                          hex_double(t.ber_sum) + " " +
+                          hex_double(t.goodput_bits) + " " +
+                          hex_double(t.waveform_tag_ber));
+      }
+    }
+  }
+  return v;
+}
+
 }  // namespace
 
 std::vector<Vector> build_all() {
@@ -297,7 +345,8 @@ std::vector<Vector> build_all() {
           gfsk_softbits_vector(), ofdm_deinterleave_vector(),
           fleet_superposed_vector("fleet_superposed_2tag.txt", 2),
           fleet_superposed_vector("fleet_superposed_3tag.txt", 3),
-          ident_acquired_trace_vector(), ident_calibration_vector()};
+          ident_acquired_trace_vector(), ident_calibration_vector(),
+          fleet_scale_trials_vector()};
 }
 
 }  // namespace ms::golden

@@ -1,9 +1,10 @@
 // Golden-vector corpus: exact reference outputs of the PHY chip/bit
-// pipelines and the identification chain (acquisition, calibration),
-// recomputed from the live code and compared line-for-line
-// against the fixtures committed under tests/golden/.  A mismatch means
-// the on-air waveform drifted; if the change is intentional, regenerate
-// with scripts/regen_golden.sh and review the fixture diff.
+// pipelines, the identification chain (acquisition, calibration) and
+// the fleet contention tallies, recomputed from the live code and
+// compared line-for-line against the fixtures committed under
+// tests/golden/.  A mismatch means the on-air waveform drifted; if the
+// change is intentional, regenerate with scripts/regen_golden.sh and
+// review the fixture diff.
 #pragma once
 
 #include <string>

@@ -1,8 +1,13 @@
 // Metrics registry + shard semantics: registration is idempotent by
 // name, kind/bounds conflicts throw, and shard merges follow the
 // documented rules (counters add, gauges last-write-wins, histograms
-// add) that the determinism contract rests on.
+// add) that the determinism contract rests on.  Histogram observe()
+// reads its bounds without the registry lock, so one test records from
+// several threads while another registers new metrics.
+#include <latch>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -197,6 +202,62 @@ TEST(Shard, DisabledTelemetryInstallsNothing) {
   }
   set_enabled(true);
   EXPECT_EQ(s.counter_value(c), 0u);
+}
+
+// One worker's fixed workload: round r samples the first r + 1 ids, so
+// first touches (the one registry lookup per slot) are spread out.
+void record_histograms(TelemetryShard& shard, std::span<const MetricId> ids,
+                       std::size_t worker) {
+  ShardScope scope(&shard);
+  for (std::size_t r = 0; r < 200; ++r)
+    for (std::size_t k = 0; k < ids.size() && k <= r; ++k)
+      observe(ids[k],
+              static_cast<double>((worker * 31 + r * 7 + k) % 40) - 5.0);
+}
+
+TEST(Shard, ObserveRacesRegistrationWithoutChangingTheJson) {
+  constexpr std::size_t kWorkers = 4;
+  const std::vector<double> bounds = {0.0, 5.0, 10.0, 20.0};
+  std::vector<MetricId> ids;
+  for (int k = 0; k < 32; ++k)
+    ids.push_back(
+        histogram(("test.concurrent.hist" + std::to_string(k)).c_str(),
+                  bounds));
+
+  const auto merged_json = [&](bool threaded) {
+    std::vector<TelemetryShard> shards(kWorkers);
+    if (threaded) {
+      std::latch start(kWorkers + 1);
+      std::vector<std::thread> threads;
+      threads.emplace_back([&] {
+        start.arrive_and_wait();
+        for (int k = 0; k < 500; ++k)
+          histogram(("test.concurrent.grow" + std::to_string(k)).c_str(),
+                    bounds);
+      });
+      for (std::size_t w = 0; w < kWorkers; ++w)
+        threads.emplace_back([&, w] {
+          start.arrive_and_wait();
+          record_histograms(shards[w], ids, w);
+        });
+      for (std::thread& t : threads) t.join();
+    } else {
+      for (std::size_t w = 0; w < kWorkers; ++w)
+        record_histograms(shards[w], ids, w);
+    }
+    reset_aggregate();
+    for (const TelemetryShard& s : shards) aggregate_merge(s);
+    std::uint64_t n = 0;
+    for (MetricId id : ids) n += aggregate().histogram_value(id).n;
+    EXPECT_EQ(n, kWorkers * (32 * 200 - 32 * 31 / 2));
+    std::string json = metrics_json_string();
+    reset_aggregate();
+    return json;
+  };
+  // Threaded first, so both renders see all 500 late registrations.
+  const std::string threaded = merged_json(true);
+  EXPECT_EQ(threaded, merged_json(false));
+  EXPECT_NE(threaded.find("test.concurrent.grow499"), std::string::npos);
 }
 
 TEST(MetricsJson, SortedSchemaAndRoundTrip) {

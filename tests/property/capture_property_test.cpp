@@ -5,6 +5,9 @@
 //  - arbitrate() is a pure function of the contender SET: any
 //    permutation of the input span produces a bit-identical verdict.
 //  - Power ties break toward the lowest tag id, never insertion order.
+//  - strongest_contender() over an id-sorted set names arbitrate()'s
+//    winner at any noise floor, so the fleet trial can find the winner
+//    first and arbitrate once, against the winner's own floor.
 //  - The winner is monotone in the received-power ratio: raising the
 //    winner's power (others fixed) never downgrades the outcome.
 //  - N-tag superposition is bit-identical to the element-wise sum of
@@ -88,6 +91,22 @@ TEST(CaptureProperty, PowerTiesBreakTowardLowestTagId) {
     std::shuffle(c.begin(), c.end(), rng);
     const Arbitration a = fleet::arbitrate(c, cfg, -100.0);
     EXPECT_EQ(a.winner_id, lowest) << "trial " << trial;
+  }
+}
+
+TEST(CaptureProperty, StrongestContenderIsTheWinnerAtAnyNoiseFloor) {
+  Rng rng(4005);
+  const CaptureConfig cfg;
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<Contender> c = random_contenders(rng, 12);
+    // Every other set ties some contenders with the first one's power.
+    if (trial % 2)
+      for (std::size_t i = 1; i < c.size(); i += 2)
+        c[i].rx_power_dbm = c[0].rx_power_dbm;
+    const std::uint32_t want = c[fleet::strongest_contender(c)].tag_id;
+    for (double noise_dbm : {-174.0, -100.0, -60.0})
+      EXPECT_EQ(fleet::arbitrate(c, cfg, noise_dbm).winner_id, want)
+          << "trial " << trial << " noise " << noise_dbm;
   }
 }
 
