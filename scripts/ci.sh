@@ -2,9 +2,9 @@
 # Full CI sweep: Release build + the four labeled ctest suites (unit,
 # property, integration, golden) — the property label includes the
 # bitpack equivalence, multipath-trajectory, PHY fast-path
-# differential (with the noise, FIR, calibration-search and
-# contention-walk oracle suites), and fleet capture/superposition
-# suites, and the unit label the workload/degradation/
+# differential (with the noise, FIR, calibration-search,
+# contention-walk and tag-link-slot oracle suites), and fleet
+# capture/superposition suites, and the unit label the workload/degradation/
 # time-varying-channel/fleet suites and the telemetry concurrency test
 # (4 threads observing while a fifth registers metrics), so all of
 # them get an ASan+UBSan pass below for free — then the

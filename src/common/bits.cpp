@@ -63,23 +63,35 @@ Bits xor_bits(std::span<const uint8_t> a, std::span<const uint8_t> b) {
 }
 
 Bits repeat_bits(std::span<const uint8_t> bits, std::size_t factor) {
-  MS_CHECK(factor >= 1);
   Bits out;
-  out.reserve(bits.size() * factor);
-  for (uint8_t b : bits) out.insert(out.end(), factor, b);
+  repeat_bits(bits, factor, out);
   return out;
 }
 
-Bits majority_vote(std::span<const uint8_t> bits, std::size_t factor) {
+void repeat_bits(std::span<const uint8_t> bits, std::size_t factor,
+                 Bits& out) {
   MS_CHECK(factor >= 1);
+  out.clear();
+  out.reserve(bits.size() * factor);
+  for (uint8_t b : bits) out.insert(out.end(), factor, b);
+}
+
+Bits majority_vote(std::span<const uint8_t> bits, std::size_t factor) {
   Bits out;
+  majority_vote(bits, factor, out);
+  return out;
+}
+
+void majority_vote(std::span<const uint8_t> bits, std::size_t factor,
+                   Bits& out) {
+  MS_CHECK(factor >= 1);
+  out.clear();
   out.reserve(bits.size() / factor);
   for (std::size_t i = 0; i + factor <= bits.size(); i += factor) {
     std::size_t ones = 0;
     for (std::size_t j = 0; j < factor; ++j) ones += bits[i + j];
     out.push_back(2 * ones >= factor ? 1 : 0);
   }
-  return out;
 }
 
 Bits bits_from_string(const std::string& s) {

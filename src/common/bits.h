@@ -43,9 +43,17 @@ Bits xor_bits(std::span<const uint8_t> a, std::span<const uint8_t> b);
 
 /// Repeat every bit `factor` times (repetition coding used by tag spreading).
 Bits repeat_bits(std::span<const uint8_t> bits, std::size_t factor);
+/// repeat_bits into `out` (resized; its capacity is reused).  `out` must
+/// not alias `bits`.
+void repeat_bits(std::span<const uint8_t> bits, std::size_t factor,
+                 Bits& out);
 
 /// Majority vote over consecutive groups of `factor` bits; ties decode as 1.
 Bits majority_vote(std::span<const uint8_t> bits, std::size_t factor);
+/// majority_vote into `out` (resized; its capacity is reused).  `out`
+/// must not alias `bits`.
+void majority_vote(std::span<const uint8_t> bits, std::size_t factor,
+                   Bits& out);
 
 /// Parse "1011…" into a bit vector.  Throws ms::Error on other characters.
 Bits bits_from_string(const std::string& s);

@@ -18,7 +18,7 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
-// One xoshiro256** step.  fill_normal runs it on a local copy of the
+// One xoshiro256** step.  The batch draws run it on a local copy of the
 // state so the four words stay in registers across a whole batch.
 inline std::uint64_t xoshiro_next(std::uint64_t* s) {
   const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
@@ -32,9 +32,14 @@ inline std::uint64_t xoshiro_next(std::uint64_t* s) {
   return result;
 }
 
+// uniform() of one raw draw: 53 high bits -> double in [0,1).
+inline double unit_double(std::uint64_t x) {
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
 // uniform(-1.0, 1.0) of one raw draw, operation for operation.
 inline double polar_coord(std::uint64_t x) {
-  return -1.0 + 2.0 * (static_cast<double>(x >> 11) * 0x1.0p-53);
+  return -1.0 + 2.0 * unit_double(x);
 }
 }  // namespace
 
@@ -45,10 +50,7 @@ Rng::Rng(std::uint64_t seed) : seed_(seed) {
 
 std::uint64_t Rng::operator()() { return xoshiro_next(s_); }
 
-double Rng::uniform() {
-  // 53 high bits -> double in [0,1)
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform() { return unit_double((*this)()); }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
@@ -127,6 +129,19 @@ void Rng::fill_normal(std::span<double> out) {
 
 bool Rng::chance(double p) { return uniform() < p; }
 
+void Rng::flip_bits(std::span<std::uint8_t> bits, double p) {
+  std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+  for (std::uint8_t& b : bits)
+    b ^= static_cast<std::uint8_t>(unit_double(xoshiro_next(s)) < p);
+  std::copy(s, s + 4, s_);
+}
+
+void Rng::fill_uniform(std::span<double> out) {
+  std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+  for (double& u : out) u = unit_double(xoshiro_next(s));
+  std::copy(s, s + 4, s_);
+}
+
 std::size_t Rng::chance_normal_hits(std::size_t n, double p,
                                     std::span<std::uint32_t> rounds,
                                     std::span<double> z) {
@@ -143,8 +158,7 @@ std::size_t Rng::chance_normal_hits(std::size_t n, double p,
   std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
   std::size_t hits = 0;
   for (std::size_t r = 0; r < n; ++r) {
-    const bool hit =
-        static_cast<double>(xoshiro_next(s) >> 11) * 0x1.0p-53 < p;
+    const bool hit = unit_double(xoshiro_next(s)) < p;
     if (pending) {
       pending = false;
       if (hit) {

@@ -47,6 +47,14 @@ class Rng {
   static constexpr std::size_t kNormalBatch = 64;
   /// Bernoulli draw with probability p of returning true.
   bool chance(double p);
+  /// Flip each bit (b ^= 1) where chance(p) hits: the same raw draws in
+  /// the same order, the same comparisons and the same end state as the
+  /// loop `for (b : bits) if (chance(p)) b ^= 1;`, with the state in
+  /// locals for the whole span.
+  void flip_bits(std::span<std::uint8_t> bits, double p);
+  /// out.size() successive uniform() draws: out[k] is bitwise the k-th
+  /// of that many calls, and the end state is theirs.
+  void fill_uniform(std::span<double> out);
   /// n rounds of `hit = chance(p); z = normal();`, taking the same raw
   /// draws and leaving the same state (cached spare included) as those
   /// calls, but evaluating the polar log/sqrt only for rounds that hit

@@ -29,6 +29,15 @@ Bits block_interleave(std::span<const uint8_t> bits, std::size_t rows);
 /// whole rectangle (returns the padded length; callers trim).
 Bits block_deinterleave(std::span<const uint8_t> bits, std::size_t rows);
 
+// The same four stages writing into `out`, which is resized and keeps
+// its capacity from call to call.  `out` must not alias the input.
+void hamming74_encode(std::span<const uint8_t> data, Bits& out);
+void hamming74_decode(std::span<const uint8_t> coded, Bits& out);
+void block_interleave(std::span<const uint8_t> bits, std::size_t rows,
+                      Bits& out);
+void block_deinterleave(std::span<const uint8_t> bits, std::size_t rows,
+                        Bits& out);
+
 /// Convenience tag-data pipeline: Hamming(7,4) + interleaving.
 struct TagFec {
   std::size_t interleave_rows = 7;
@@ -36,6 +45,12 @@ struct TagFec {
   Bits encode(std::span<const uint8_t> data) const;
   /// Decode `n_data_bits` original bits from a coded stream.
   Bits decode(std::span<const uint8_t> coded, std::size_t n_data_bits) const;
+  /// encode()/decode() into `out`, with `scratch` holding the middle
+  /// stage; both keep their capacity across calls and must not alias
+  /// the input or each other.
+  void encode(std::span<const uint8_t> data, Bits& out, Bits& scratch) const;
+  void decode(std::span<const uint8_t> coded, std::size_t n_data_bits,
+              Bits& out, Bits& scratch) const;
   /// Coded length for n data bits.
   std::size_t coded_size(std::size_t n_data_bits) const;
 };

@@ -6,8 +6,10 @@
 namespace ms {
 
 namespace {
-void push_value(Bits& out, unsigned value, unsigned n_bits) {
-  for (unsigned i = 0; i < n_bits; ++i) out.push_back((value >> i) & 1u);
+// Writes the low n_bits of value at out, LSB first; returns the end.
+uint8_t* put_value(uint8_t* out, unsigned value, unsigned n_bits) {
+  for (unsigned i = 0; i < n_bits; ++i) *out++ = (value >> i) & 1u;
+  return out;
 }
 unsigned pop_value(std::span<const uint8_t> bits, std::size_t& pos,
                    unsigned n_bits) {
@@ -15,6 +17,15 @@ unsigned pop_value(std::span<const uint8_t> bits, std::size_t& pos,
   for (unsigned i = 0; i < n_bits; ++i)
     v |= static_cast<unsigned>(bits[pos++] & 1u) << i;
   return v;
+}
+// CRC over the header nibble-fields packed into a byte pair, then the
+// payload.
+uint8_t frame_crc(uint8_t tag_id, uint8_t sequence, bool last_segment,
+                  std::span<const uint8_t> payload) {
+  const uint8_t header[2] = {
+      static_cast<uint8_t>(tag_id | (sequence << 4)),
+      static_cast<uint8_t>((last_segment ? 0x20 : 0) | payload.size())};
+  return crc8(payload, crc8(header));
 }
 }  // namespace
 
@@ -24,45 +35,49 @@ std::size_t TagFrame::frame_bits(std::size_t payload_bytes) {
 }
 
 Bits TagFrame::to_bits() const {
-  MS_CHECK(tag_id < 16);
-  MS_CHECK(sequence < 16);
-  MS_CHECK_MSG(payload.size() <= kMaxPayload, "frame payload too long");
   Bits out;
-  out.reserve(frame_bits(payload.size()));
-  push_value(out, tag_id, 4);
-  push_value(out, sequence, 4);
-  push_value(out, last_segment ? 1 : 0, 1);
-  push_value(out, static_cast<unsigned>(payload.size()), 5);
-  const Bits body = bytes_to_bits_lsb(payload);
-  out.insert(out.end(), body.begin(), body.end());
-  // CRC over header nibble-fields + payload: pack header into one byte
-  // pair for the checksum.
-  Bytes crc_input = {static_cast<uint8_t>(tag_id | (sequence << 4)),
-                     static_cast<uint8_t>((last_segment ? 0x20 : 0) |
-                                          payload.size())};
-  crc_input.insert(crc_input.end(), payload.begin(), payload.end());
-  push_value(out, crc8(crc_input), 8);
+  to_bits(out);
   return out;
 }
 
+void TagFrame::to_bits(Bits& out) const {
+  MS_CHECK(tag_id < 16);
+  MS_CHECK(sequence < 16);
+  MS_CHECK_MSG(payload.size() <= kMaxPayload, "frame payload too long");
+  out.resize(frame_bits(payload.size()));
+  uint8_t* o = out.data();
+  o = put_value(o, tag_id, 4);
+  o = put_value(o, sequence, 4);
+  o = put_value(o, last_segment ? 1 : 0, 1);
+  o = put_value(o, static_cast<unsigned>(payload.size()), 5);
+  for (uint8_t byte : payload) o = put_value(o, byte, 8);
+  put_value(o, frame_crc(tag_id, sequence, last_segment, payload), 8);
+}
+
 std::optional<TagFrame> TagFrame::from_bits(std::span<const uint8_t> bits) {
-  if (bits.size() < frame_bits(0)) return std::nullopt;
-  std::size_t pos = 0;
   TagFrame f;
+  if (!from_bits(bits, f)) return std::nullopt;
+  return f;
+}
+
+bool TagFrame::from_bits(std::span<const uint8_t> bits, TagFrame& f) {
+  if (bits.size() < frame_bits(0)) return false;
+  std::size_t pos = 0;
   f.tag_id = static_cast<uint8_t>(pop_value(bits, pos, 4));
   f.sequence = static_cast<uint8_t>(pop_value(bits, pos, 4));
   f.last_segment = pop_value(bits, pos, 1) != 0;
   const unsigned len = pop_value(bits, pos, 5);
-  if (len > kMaxPayload || bits.size() < frame_bits(len)) return std::nullopt;
-  Bits body(bits.begin() + pos, bits.begin() + pos + len * 8);
-  pos += len * 8;
-  f.payload = bits_to_bytes_lsb(body);
+  if (len > kMaxPayload || bits.size() < frame_bits(len)) return false;
+  // Payload bits pack as bits_to_bytes_lsb does: any non-zero bit is set.
+  f.payload.resize(len);
+  for (uint8_t& byte : f.payload) {
+    unsigned v = 0;
+    for (unsigned i = 0; i < 8; ++i)
+      v |= static_cast<unsigned>(bits[pos++] != 0) << i;
+    byte = static_cast<uint8_t>(v);
+  }
   const unsigned rx_crc = pop_value(bits, pos, 8);
-  Bytes crc_input = {static_cast<uint8_t>(f.tag_id | (f.sequence << 4)),
-                     static_cast<uint8_t>((f.last_segment ? 0x20 : 0) | len)};
-  crc_input.insert(crc_input.end(), f.payload.begin(), f.payload.end());
-  if (crc8(crc_input) != rx_crc) return std::nullopt;
-  return f;
+  return frame_crc(f.tag_id, f.sequence, f.last_segment, f.payload) == rx_crc;
 }
 
 std::vector<TagFrame> segment_reading(uint8_t tag_id,

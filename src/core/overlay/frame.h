@@ -25,10 +25,17 @@ struct TagFrame {
   /// Serialize: 4-bit tag id, 4-bit sequence, 1-bit last flag,
   /// 5-bit length, payload bytes, CRC-8 — all LSB-first.
   Bits to_bits() const;
+  /// to_bits() into `out` (resized; its capacity is reused).
+  void to_bits(Bits& out) const;
 
   /// Parse and CRC-check a bit stream produced by to_bits().  Returns
   /// nullopt on bad length or CRC.  `bits` may carry trailing padding.
   static std::optional<TagFrame> from_bits(std::span<const uint8_t> bits);
+  /// from_bits() into `out`, reusing its payload's capacity.  Returns
+  /// false on bad length or CRC, and `out` is then unspecified.
+  static bool from_bits(std::span<const uint8_t> bits, TagFrame& out);
+
+  bool operator==(const TagFrame&) const = default;
 
   /// Total bits for a payload of n bytes.
   static std::size_t frame_bits(std::size_t payload_bytes);

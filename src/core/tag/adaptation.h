@@ -23,6 +23,8 @@ namespace ms {
 struct ProtectionLevel {
   unsigned gamma = 2;        ///< overlay spreading factor
   unsigned fec_repeats = 1;  ///< repetition factor on the coded bits
+
+  bool operator==(const ProtectionLevel&) const = default;
 };
 
 struct AdaptationConfig {

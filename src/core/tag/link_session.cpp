@@ -5,7 +5,6 @@
 
 #include "channel/link.h"
 #include "common/error.h"
-#include "core/overlay/fec.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -89,42 +88,83 @@ std::size_t LinkSession::frame_payload_budget(
               " repeats=" + std::to_string(level.fec_repeats));
 }
 
-Bits LinkSession::encode_frame(const TagFrame& frame,
-                               const ProtectionLevel& level) const {
-  Bits bits = frame.to_bits();
-  if (cfg_.fec_enabled) bits = TagFec{cfg_.interleave_rows}.encode(bits);
-  if (level.fec_repeats > 1) bits = repeat_bits(bits, level.fec_repeats);
-  return bits;
+FrameCodec::FrameCodec(bool fec_enabled, std::size_t interleave_rows)
+    : fec_enabled_(fec_enabled), fec_{interleave_rows} {}
+
+std::span<const uint8_t> FrameCodec::encode(const TagFrame& frame,
+                                            const ProtectionLevel& level) {
+  if (cached_ && level == level_ && frame == frame_) return coded_;
+  frame.to_bits(frame_bits_);
+  const Bits* bits = &frame_bits_;
+  if (fec_enabled_) {
+    fec_.encode(frame_bits_, fec_bits_, scratch_);
+    bits = &fec_bits_;
+  }
+  repeat_bits(*bits, level.fec_repeats, coded_);
+  frame_ = frame;
+  level_ = level;
+  cached_ = true;
+  ++encodes_;
+  return coded_;
 }
 
-std::optional<TagFrame> LinkSession::decode_frame(
-    std::span<const uint8_t> coded, const ProtectionLevel& level) const {
-  Bits bits(coded.begin(), coded.end());
-  if (level.fec_repeats > 1) bits = majority_vote(bits, level.fec_repeats);
-  if (cfg_.fec_enabled) {
+bool FrameCodec::decode(std::span<const uint8_t> coded,
+                        const ProtectionLevel& level, TagFrame& out) {
+  std::span<const uint8_t> bits = coded;
+  if (level.fec_repeats > 1) {
+    majority_vote(bits, level.fec_repeats, voted_);
+    bits = voted_;
+  }
+  if (fec_enabled_) {
     // The receiver knows only the coded length; decode every whole
     // Hamming block and let the frame parser skip the trailing padding.
     const std::size_t data_bits = bits.size() / 7 * 4;
-    bits = TagFec{cfg_.interleave_rows}.decode(bits, data_bits);
+    fec_.decode(bits, data_bits, fec_bits_, scratch_);
+    bits = fec_bits_;
   }
-  return TagFrame::from_bits(bits);
+  return TagFrame::from_bits(bits, out);
 }
 
 namespace {
 
-/// Synthesize the envelope the tag's clear-channel assessment sees:
+/// Clear-channel assessment over the envelope the tag's detector sees:
 /// quiet air sits well below the sensing threshold, a busy channel well
 /// above it.
-Samples sense_envelope(bool busy, const ChannelSenseConfig& sense, Rng& rng) {
-  Samples env(32);
-  const float level = busy ? static_cast<float>(4.0 * sense.threshold_v)
-                           : static_cast<float>(0.2 * sense.threshold_v);
-  for (float& v : env)
-    v = level * (0.8f + 0.4f * static_cast<float>(rng.uniform()));
-  return env;
+bool sensed_busy(const ChannelSensor& sensor, bool busy, Rng& rng) {
+  const double threshold_v = sensor.config().threshold_v;
+  const float level = busy ? static_cast<float>(4.0 * threshold_v)
+                           : static_cast<float>(0.2 * threshold_v);
+  std::array<double, 32> u{};
+  rng.fill_uniform(u);
+  std::array<float, 32> env{};
+  for (std::size_t i = 0; i < env.size(); ++i)
+    env[i] = level * (0.8f + 0.4f * static_cast<float>(u[i]));
+  return sensor.channel_busy(env);
 }
 
 }  // namespace
+
+void LinkSession::through_channel(std::span<const uint8_t> coded,
+                                  double snr_db, unsigned gamma, Rng& rng,
+                                  Bits& rx) const {
+  rx.assign(coded.begin(), coded.end());
+  rng.flip_bits(rx, backscatter_tag_ber(cfg_.protocol, snr_db, gamma));
+  if (cfg_.frame_corrupt_prob > 0.0 && rng.chance(cfg_.frame_corrupt_prob)) {
+    const std::size_t len = std::max<std::size_t>(
+        1, static_cast<std::size_t>(cfg_.burst_fraction *
+                                    static_cast<double>(rx.size())));
+    const std::size_t start = rng.uniform_int(rx.size());
+    for (std::size_t i = start; i < std::min(rx.size(), start + len); ++i)
+      rx[i] ^= 1u;
+    obs::add(link_metrics().frame_corrupt);
+    obs::Event(obs::Subsystem::Faults, obs::Severity::Warn,
+               "fault.frame_corrupt")
+        .f("start", start)
+        .f("len", len)
+        .f("coded_bits", rx.size())
+        .emit();
+  }
+}
 
 LinkSessionReport LinkSession::run(std::size_t n_readings,
                                    std::size_t max_slots, Rng& rng) {
@@ -138,6 +178,10 @@ LinkSessionReport LinkSession::run(std::size_t n_readings,
   AdaptivePolicy policy(cfg_.adapt);
   LinkQualityProcess quality(cfg_.link_quality);
   const ChannelSensor sensor(cfg_.sense);
+
+  FrameCodec codec(cfg_.fec_enabled, cfg_.interleave_rows);
+  Bits rx_bits;
+  TagFrame rx_frame;
 
   ProtectionLevel level = cfg_.fixed;
   bool head_failed = false;  // current ARQ head frame failed at least once
@@ -176,7 +220,7 @@ LinkSessionReport LinkSession::run(std::size_t n_readings,
 
     // Clear-channel assessment before backscattering (footnote 6).
     const bool busy = rng.chance(cfg_.sense_busy_prob);
-    if (sensor.channel_busy(sense_envelope(busy, cfg_.sense, rng))) {
+    if (sensed_busy(sensor, busy, rng)) {
       ++rep.slots_deferred;
       obs::add(lm.slots_deferred);
       continue;
@@ -203,26 +247,9 @@ LinkSessionReport LinkSession::run(std::size_t n_readings,
 
     // Through the channel: per-bit flips at the slot's tag BER, plus the
     // fault injector's i.i.d. burst corruption.
-    Bits coded = encode_frame(*frame, level);
-    const double ber = backscatter_tag_ber(cfg_.protocol, snr_db, level.gamma);
-    for (uint8_t& b : coded)
-      if (rng.chance(ber)) b ^= 1u;
-    if (cfg_.frame_corrupt_prob > 0.0 && rng.chance(cfg_.frame_corrupt_prob)) {
-      const std::size_t len = std::max<std::size_t>(
-          1, static_cast<std::size_t>(cfg_.burst_fraction *
-                                      static_cast<double>(coded.size())));
-      const std::size_t start = rng.uniform_int(coded.size());
-      for (std::size_t i = start; i < std::min(coded.size(), start + len); ++i)
-        coded[i] ^= 1u;
-      obs::add(lm.frame_corrupt);
-      obs::Event(obs::Subsystem::Faults, obs::Severity::Warn,
-                 "fault.frame_corrupt")
-          .f("start", start)
-          .f("len", len)
-          .f("coded_bits", coded.size())
-          .emit();
-    }
-    const std::optional<TagFrame> rx = decode_frame(coded, level);
+    through_channel(codec.encode(*frame, level), snr_db, level.gamma, rng,
+                    rx_bits);
+    const bool rx = codec.decode(rx_bits, level, rx_frame);
     obs::add(rx ? lm.crc_ok : lm.crc_fail);
     if (!rx) {
       obs::Event(obs::Subsystem::Overlay, obs::Severity::Info, "tag.crc_fail")
@@ -235,7 +262,7 @@ LinkSessionReport LinkSession::run(std::size_t n_readings,
     if (cfg_.arq_enabled) {
       bool acked = false;
       if (rx) {
-        const ArqReceiver::Result res = arq_rx.push(*rx);
+        const ArqReceiver::Result res = arq_rx.push(rx_frame);
         if (res.duplicate) ++rep.duplicates_seen;
         if (res.reading) {
           ++rep.readings_delivered;
@@ -291,7 +318,7 @@ LinkSessionReport LinkSession::run(std::size_t n_readings,
       }
     } else {
       if (rx) {
-        if (std::optional<Bytes> done = assembler.push(*rx)) {
+        if (std::optional<Bytes> done = assembler.push(rx_frame)) {
           ++rep.readings_delivered;
           rep.delivered_bytes += static_cast<double>(done->size());
           obs::add(lm.readings_delivered);
@@ -327,6 +354,10 @@ LinkSessionReport LinkSession::run_trace(std::size_t n_readings,
   const ChannelSensor sensor(cfg_.sense);
   EnergyGovernor energy(cfg_.energy);
   RetryBudget budget(cfg_.retry_budget);
+
+  FrameCodec codec(cfg_.fec_enabled, cfg_.interleave_rows);
+  Bits rx_bits;
+  TagFrame rx_frame;
 
   ProtectionLevel level = cfg_.fixed;
   bool head_failed = false;  // current ARQ head frame failed at least once
@@ -429,7 +460,7 @@ LinkSessionReport LinkSession::run_trace(std::size_t n_readings,
       else
         interferer_missed = true;
     }
-    if (sensor.channel_busy(sense_envelope(busy, cfg_.sense, rng))) {
+    if (sensed_busy(sensor, busy, rng)) {
       ++rep.slots_deferred;
       obs::add(lm.slots_deferred);
       idle_slot();
@@ -460,7 +491,7 @@ LinkSessionReport LinkSession::run_trace(std::size_t n_readings,
                  "SlotConditions::capacity_scale must be >= 0");
     const TagFrame* head =
         cfg_.arq_enabled ? sender.peek() : &blind_queue.front();
-    Bits coded = encode_frame(*head, level);
+    const std::span<const uint8_t> coded = codec.encode(*head, level);
     const auto capacity = static_cast<std::size_t>(
         static_cast<double>(c.capacity_scale) *
         static_cast<double>(slot_capacity_bits(level.gamma)));
@@ -480,13 +511,11 @@ LinkSessionReport LinkSession::run_trace(std::size_t n_readings,
       continue;
     }
 
-    // Commit to the transmission.
-    std::optional<TagFrame> frame;
+    // Commit to the transmission; `coded` already holds its bits.
     if (cfg_.arq_enabled) {
-      frame = sender.poll();
-      MS_CHECK(frame.has_value());
+      const bool polled = sender.poll().has_value();
+      MS_CHECK(polled);
     } else {
-      frame = std::move(blind_queue.front());
       blind_queue.pop_front();
     }
     ++transmissions;
@@ -521,42 +550,25 @@ LinkSessionReport LinkSession::run_trace(std::size_t n_readings,
     // Through the channel: per-bit flips at the slot's tag BER, the
     // fault injector's i.i.d. burst corruption, and any missed
     // coexistence interferer stomping a contiguous run.
-    const double ber = backscatter_tag_ber(cfg_.protocol, snr_db, level.gamma);
-    for (uint8_t& b : coded)
-      if (rng.chance(ber)) b ^= 1u;
-    if (cfg_.frame_corrupt_prob > 0.0 && rng.chance(cfg_.frame_corrupt_prob)) {
-      const std::size_t len = std::max<std::size_t>(
-          1, static_cast<std::size_t>(cfg_.burst_fraction *
-                                      static_cast<double>(coded.size())));
-      const std::size_t start = rng.uniform_int(coded.size());
-      for (std::size_t i = start; i < std::min(coded.size(), start + len); ++i)
-        coded[i] ^= 1u;
-      obs::add(lm.frame_corrupt);
-      obs::Event(obs::Subsystem::Faults, obs::Severity::Warn,
-                 "fault.frame_corrupt")
-          .f("start", start)
-          .f("len", len)
-          .f("coded_bits", coded.size())
-          .emit();
-    }
+    through_channel(coded, snr_db, level.gamma, rng, rx_bits);
     if (interferer_missed) {
       const std::size_t len = std::max<std::size_t>(
           1, static_cast<std::size_t>(cfg_.interferer_stomp_fraction *
-                                      static_cast<double>(coded.size())));
-      // Unlike the i.i.d. burst above, the stomp run is placed so the
+                                      static_cast<double>(rx_bits.size())));
+      // Unlike the i.i.d. burst, the stomp run is placed so the
       // configured fraction always lands in full: the knob means what
       // it says.
-      const std::size_t start = rng.uniform_int(coded.size() - len + 1);
-      for (std::size_t i = start; i < start + len; ++i) coded[i] ^= 1u;
+      const std::size_t start = rng.uniform_int(rx_bits.size() - len + 1);
+      for (std::size_t i = start; i < start + len; ++i) rx_bits[i] ^= 1u;
       obs::add(lm.interferer_stomp);
       obs::Event(obs::Subsystem::Faults, obs::Severity::Warn,
                  "fault.interferer_stomp")
           .f("start", start)
           .f("len", len)
-          .f("coded_bits", coded.size())
+          .f("coded_bits", rx_bits.size())
           .emit();
     }
-    const std::optional<TagFrame> rx = decode_frame(coded, level);
+    const bool rx = codec.decode(rx_bits, level, rx_frame);
     obs::add(rx ? lm.crc_ok : lm.crc_fail);
     if (!rx) {
       obs::Event(obs::Subsystem::Overlay, obs::Severity::Info, "tag.crc_fail")
@@ -569,7 +581,7 @@ LinkSessionReport LinkSession::run_trace(std::size_t n_readings,
     if (cfg_.arq_enabled) {
       bool acked = false;
       if (rx) {
-        const ArqReceiver::Result res = arq_rx.push(*rx);
+        const ArqReceiver::Result res = arq_rx.push(rx_frame);
         if (res.duplicate) ++rep.duplicates_seen;
         if (res.reading) mark_delivered(res.reading->size());
         if (res.crc_ok && rng.chance(cfg_.ack_loss_prob)) {
@@ -627,7 +639,7 @@ LinkSessionReport LinkSession::run_trace(std::size_t n_readings,
       }
     } else {
       if (rx) {
-        if (std::optional<Bytes> done = assembler.push(*rx))
+        if (std::optional<Bytes> done = assembler.push(rx_frame))
           mark_delivered(done->size());
       } else {
         ++rep.frames_corrupted;

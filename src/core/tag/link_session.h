@@ -18,6 +18,7 @@
 
 #include "channel/impairments.h"
 #include "core/overlay/arq.h"
+#include "core/overlay/fec.h"
 #include "core/overlay/overlay.h"
 #include "core/tag/adaptation.h"
 #include "core/tag/channel_sense.h"
@@ -140,6 +141,37 @@ struct LinkSessionReport {
   }
 };
 
+/// The slot loop's frame codec: TagFrame → bits → Hamming(7,4) +
+/// interleaver (when FEC is on) → `fec_repeats`-fold repetition, and
+/// back, on buffers kept from call to call.  Encoding is pure in the
+/// frame, the level and the codec's FEC settings, so encode() keeps the
+/// coded bits of the last frame it encoded and re-encodes only when the
+/// frame (id, sequence, last flag, payload) or the level differs.
+class FrameCodec {
+ public:
+  FrameCodec(bool fec_enabled, std::size_t interleave_rows);
+
+  /// Coded bits of `frame` at `level`; valid until the next encode().
+  std::span<const uint8_t> encode(const TagFrame& frame,
+                                  const ProtectionLevel& level);
+  /// Parse received `coded` bits sent at `level` into `out`.  Returns
+  /// false (and leaves `out` unspecified) on a bad length or CRC.
+  bool decode(std::span<const uint8_t> coded, const ProtectionLevel& level,
+              TagFrame& out);
+
+  /// encode() calls that had to encode (the rest reused the last bits).
+  std::size_t encodes() const { return encodes_; }
+
+ private:
+  bool fec_enabled_;
+  TagFec fec_;
+  bool cached_ = false;
+  TagFrame frame_;
+  ProtectionLevel level_;
+  std::size_t encodes_ = 0;
+  Bits frame_bits_, fec_bits_, scratch_, coded_, voted_;
+};
+
 class LinkSession {
  public:
   explicit LinkSession(LinkSessionConfig cfg);
@@ -170,9 +202,11 @@ class LinkSession {
   const LinkSessionConfig& config() const { return cfg_; }
 
  private:
-  Bits encode_frame(const TagFrame& frame, const ProtectionLevel& level) const;
-  std::optional<TagFrame> decode_frame(std::span<const uint8_t> coded,
-                                       const ProtectionLevel& level) const;
+  /// One transmission through the channel: `rx` gets `coded` with
+  /// per-bit flips at the slot's tag BER, then the fault injector's
+  /// i.i.d. burst corruption.
+  void through_channel(std::span<const uint8_t> coded, double snr_db,
+                       unsigned gamma, Rng& rng, Bits& rx) const;
 
   LinkSessionConfig cfg_;
   OverlayParams overlay_;

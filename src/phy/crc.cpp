@@ -1,5 +1,7 @@
 #include "phy/crc.h"
 
+#include <array>
+
 namespace ms {
 
 std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data,
@@ -50,14 +52,29 @@ std::uint32_t crc32_ieee(std::span<const std::uint8_t> data) {
   return ~crc;
 }
 
-std::uint8_t crc8(std::span<const std::uint8_t> data) {
-  std::uint8_t crc = 0;
-  for (std::uint8_t byte : data) {
-    crc ^= byte;
+namespace {
+
+// kCrc8Table[v] is v shifted through the eight bit-serial steps of the
+// 0x07 register, so one lookup advances the CRC by a whole byte.
+constexpr std::array<std::uint8_t, 256> make_crc8_table() {
+  std::array<std::uint8_t, 256> table{};
+  for (unsigned v = 0; v < 256; ++v) {
+    auto crc = static_cast<std::uint8_t>(v);
     for (int i = 0; i < 8; ++i)
       crc = (crc & 0x80) ? static_cast<std::uint8_t>((crc << 1) ^ 0x07)
                          : static_cast<std::uint8_t>(crc << 1);
+    table[v] = crc;
   }
+  return table;
+}
+
+constexpr std::array<std::uint8_t, 256> kCrc8Table = make_crc8_table();
+
+}  // namespace
+
+std::uint8_t crc8(std::span<const std::uint8_t> data, std::uint8_t init) {
+  std::uint8_t crc = init;
+  for (std::uint8_t byte : data) crc = kCrc8Table[crc ^ byte];
   return crc;
 }
 

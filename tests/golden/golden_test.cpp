@@ -62,7 +62,8 @@ INSTANTIATE_TEST_SUITE_P(
                       "fleet_superposed_3tag.txt",
                       "ident_acquired_trace.txt",
                       "ident_ordered_calibration.txt",
-                      "fleet_scale_trials.txt"),
+                      "fleet_scale_trials.txt",
+                      "link_session_reports.txt"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name)
@@ -72,7 +73,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The builder list and the parameter list above must stay in sync.
 TEST(GoldenCorpus, CoversEveryBuilder) {
-  EXPECT_EQ(build_all().size(), 13u);
+  EXPECT_EQ(build_all().size(), 14u);
 }
 
 }  // namespace

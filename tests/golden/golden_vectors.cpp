@@ -11,6 +11,7 @@
 #include "core/ident/templates.h"
 #include "core/overlay/frame.h"
 #include "core/overlay/overlay.h"
+#include "core/tag/link_session.h"
 #include "dsp/iq.h"
 #include "dsp/ops.h"
 #include "phy/ble/ble.h"
@@ -22,6 +23,7 @@
 #include "sim/excitation.h"
 #include "sim/fleet/scale_experiment.h"
 #include "sim/ident_experiment.h"
+#include "sim/workload/scenarios.h"
 
 namespace ms::golden {
 namespace {
@@ -336,6 +338,116 @@ Vector fleet_scale_trials_vector() {
   return v;
 }
 
+std::string hex_size(std::size_t x) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%zx", x);
+  return buf;
+}
+
+// One LinkSessionReport, every field in hex, then the session Rng's
+// next raw draw (which pins the number of draws the session took).
+std::string link_report_line(const std::string& label,
+                             const LinkSessionReport& r, Rng& rng) {
+  std::string s = label;
+  for (std::size_t x :
+       {r.slots, r.slots_deferred, r.readings_offered, r.readings_delivered,
+        r.frames_corrupted, r.frames_recovered, r.acks_lost,
+        r.duplicates_seen, r.sender.frames_loaded, r.sender.transmissions,
+        r.sender.retransmissions, r.sender.frames_delivered,
+        r.sender.frames_dropped, r.sender.readings_abandoned,
+        r.level_switches, r.slots_dark, r.slots_undersized, r.brownouts,
+        r.slots_browned_out, r.resyncs, r.retries_shed, r.energy_deferrals,
+        r.energy_violations, r.recoveries})
+    s += " " + hex_size(x);
+  for (double x : {r.delivered_bytes, r.mean_gamma, r.mean_fec_repeats,
+                   r.final_nack_rate, r.energy_harvested_j, r.energy_spent_j,
+                   r.recover_slots_total})
+    s += " " + hex_double(x);
+  char buf[24];
+  std::snprintf(buf, sizeof buf, " 0x%016llx",
+                static_cast<unsigned long long>(rng()));
+  return s + buf;
+}
+
+// The tag link layer's slot loops.  run_trace: each standard_scenarios()
+// entry on traces 0-3 in bench_robustness_workloads' three variants
+// ("full": governor, retry budget, holdoff jitter 3; "blind": none of
+// them; "seed": no ARQ or adaptation either), at seeds 1 and 7919.
+// run: the link_session_test configurations at the same seeds.  One
+// line each, the label then the report:
+//   run_trace <scenario> <variant> <seed> <trace> <fields…> <draw>
+//   run <config> <seed> <fields…> <draw>
+// Pins framing, FEC, ARQ, adaptation, the energy governor and every
+// Rng draw of the channel step.
+Vector link_session_vector() {
+  Vector v{"link_session_reports.txt", {}};
+  const std::vector<WorkloadScenario> scenarios = standard_scenarios();
+  for (std::uint64_t seed : {1ull, 7919ull}) {
+    for (std::size_t sc = 0; sc < scenarios.size(); ++sc) {
+      for (const char* variant : {"full", "blind", "seed"}) {
+        LinkSessionConfig cfg = scenarios[sc].link;
+        const bool full = variant[0] == 'f';
+        cfg.energy.governor = full;
+        cfg.retry_budget.enabled = full;
+        cfg.arq.holdoff_jitter_slots = full ? 3 : 0;
+        if (variant[0] == 's') {
+          cfg.arq_enabled = false;
+          cfg.adaptation_enabled = false;
+        }
+        LinkSession session(cfg);
+        for (std::uint64_t t = 0; t < 4; ++t) {
+          Rng trace_rng = Rng(seed).fork(sc, t);
+          const std::vector<SlotConditions> trace =
+              build_workload(scenarios[sc].workload, trace_rng);
+          Rng rng = Rng(seed).fork(sc, 1000 + t);
+          const LinkSessionReport r =
+              session.run_trace(scenarios[sc].n_readings, trace, rng);
+          v.lines.push_back(link_report_line(
+              "run_trace " + scenarios[sc].name + " " + variant + " " +
+                  std::to_string(seed) + " " + std::to_string(t),
+              r, rng));
+        }
+      }
+    }
+    struct RunCase {
+      const char* name;
+      std::size_t readings, max_slots;
+      void (*tweak)(LinkSessionConfig&);
+    };
+    const RunCase cases[] = {
+        {"arq_adapt_fade", 40, 2500,
+         [](LinkSessionConfig& c) { c.base_snr_db = -12.0; }},
+        {"blind", 160, 4000,
+         [](LinkSessionConfig& c) {
+           c.frame_corrupt_prob = 0.10;
+           c.arq_enabled = false;
+           c.adaptation_enabled = false;
+         }},
+        {"busy_sense", 80, 2500,
+         [](LinkSessionConfig& c) { c.sense_busy_prob = 0.3; }},
+        {"corrupt10", 160, 4000,
+         [](LinkSessionConfig& c) { c.frame_corrupt_prob = 0.10; }},
+        {"mixed", 80, 2500,
+         [](LinkSessionConfig& c) {
+           c.frame_corrupt_prob = 0.15;
+           c.link_quality.p_good_to_bad = 0.05;
+           c.ack_loss_prob = 0.02;
+         }},
+    };
+    for (const RunCase& rc : cases) {
+      LinkSessionConfig cfg;
+      cfg.link_quality.p_good_to_bad = 0.0;
+      rc.tweak(cfg);
+      LinkSession session(cfg);
+      Rng rng(seed);
+      const LinkSessionReport r = session.run(rc.readings, rc.max_slots, rng);
+      v.lines.push_back(link_report_line(
+          std::string("run ") + rc.name + " " + std::to_string(seed), r, rng));
+    }
+  }
+  return v;
+}
+
 }  // namespace
 
 std::vector<Vector> build_all() {
@@ -346,7 +458,7 @@ std::vector<Vector> build_all() {
           fleet_superposed_vector("fleet_superposed_2tag.txt", 2),
           fleet_superposed_vector("fleet_superposed_3tag.txt", 3),
           ident_acquired_trace_vector(), ident_calibration_vector(),
-          fleet_scale_trials_vector()};
+          fleet_scale_trials_vector(), link_session_vector()};
 }
 
 }  // namespace ms::golden

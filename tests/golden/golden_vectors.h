@@ -1,8 +1,8 @@
 // Golden-vector corpus: exact reference outputs of the PHY chip/bit
-// pipelines, the identification chain (acquisition, calibration) and
-// the fleet contention tallies, recomputed from the live code and
-// compared line-for-line against the fixtures committed under
-// tests/golden/.  A mismatch means the on-air waveform drifted; if the
+// pipelines, the identification chain (acquisition, calibration), the
+// fleet contention tallies and the tag link layer's session reports,
+// recomputed from the live code and compared line-for-line against the
+// fixtures committed under tests/golden/.  A mismatch means the on-air waveform drifted; if the
 // change is intentional, regenerate with scripts/regen_golden.sh and
 // review the fixture diff.
 #pragma once
