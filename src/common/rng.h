@@ -64,6 +64,32 @@ class Rng {
   std::size_t chance_normal_hits(std::size_t n, double p,
                                  std::span<std::uint32_t> rounds,
                                  std::span<double> z);
+
+  /// Builds of chance_normal_hits_group.  Scalar runs chance_normal_hits
+  /// on each stream in turn (the oracle); Avx2 (4 lanes) and Avx512 (8
+  /// lanes) run one templated lane body that advances a vector of
+  /// streams at once.  All three give the same bits; neither vector
+  /// build enables "fma".
+  enum class WalkIsa { Scalar, Avx2, Avx512 };
+  /// Whether this CPU runs `isa` (Scalar always; the others on x86 only).
+  static bool walk_isa_supported(WalkIsa isa);
+  /// The widest supported build, decided once.
+  static WalkIsa default_walk_isa();
+  static const char* walk_isa_name(WalkIsa isa);  ///< "scalar", ...
+  /// For each l, the hits of `streams[l].chance_normal_hits(n, p[l], ..)`
+  /// run on a copy of that stream (the streams are not advanced).  The
+  /// hits are written stream-major: stream l's rounds, ascending, and
+  /// their z follow those of streams 0..l-1, and counts[l] is how many
+  /// it has.  rounds and z must each hold streams.size() * n; p and
+  /// counts one entry per stream; n must fit in 32 bits.  `isa` must be
+  /// supported.
+  static void chance_normal_hits_group(std::span<const Rng> streams,
+                                       std::size_t n,
+                                       std::span<const double> p,
+                                       std::span<std::uint32_t> rounds,
+                                       std::span<double> z,
+                                       std::span<std::size_t> counts,
+                                       WalkIsa isa = default_walk_isa());
   /// n independent fair bits.
   Bits bits(std::size_t n);
   /// n independent uniform bytes.

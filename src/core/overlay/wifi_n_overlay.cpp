@@ -1,9 +1,12 @@
 #include "core/overlay/wifi_n_overlay.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
 #include "dsp/fft.h"
+#include "dsp/kernels/arena.h"
+#include "dsp/kernels/fft_plan.h"
 #include "phy/ofdm/subcarriers.h"
 
 namespace ms {
@@ -52,16 +55,25 @@ Iq WifiNOverlay::tag_modulate(std::span<const Cf> carrier,
 
 namespace {
 
-/// 48 equalization-free data-subcarrier points of one received symbol.
-Iq symbol_points(std::span<const Cf> symbol) {
+/// The 48 equalization-free data-subcarrier points of one received
+/// symbol, written to `points`.  With a plan, the FFT runs in `bins`
+/// (64 samples of scratch) on the planned transform, which gives the
+/// reference `fft_inplace`'s bits; without one, on the reference.
+void symbol_points(std::span<const Cf> symbol, const kernels::FftPlan* plan,
+                   std::span<Cf> bins, std::span<Cf> points) {
   MS_CHECK(symbol.size() == kOfdmSymbolLen);
-  Iq t(symbol.begin() + kOfdmCpLen, symbol.end());
-  fft_inplace(t);
+  Iq t;
+  if (plan != nullptr) {
+    std::copy(symbol.begin() + kOfdmCpLen, symbol.end(), bins.begin());
+    plan->forward(bins);
+  } else {
+    t.assign(symbol.begin() + kOfdmCpLen, symbol.end());
+    fft_inplace(t);
+    bins = t;
+  }
   const auto data_idx = ofdm_data_indices();
-  Iq points(kOfdmDataCarriers);
   for (std::size_t i = 0; i < kOfdmDataCarriers; ++i)
-    points[i] = t[ofdm_bin(data_idx[i])];
-  return points;
+    points[i] = bins[ofdm_bin(data_idx[i])];
 }
 
 }  // namespace
@@ -72,10 +84,21 @@ OverlayDecoded WifiNOverlay::decode(std::span<const Cf> rx,
   MS_CHECK(rx.size() >= n_sequences * seq_samples);
   const std::size_t groups = params_.tag_bits_per_sequence();
 
+  // Fast path: the planned FFT over arena scratch, as WifiNPhy's
+  // demodulator does, instead of a fresh Iq per symbol.
+  const kernels::FftPlan* plan = kernels::use_fast(phy_.config().path)
+                                     ? &kernels::fft_plan(kOfdmFftSize)
+                                     : nullptr;
+  kernels::SampleArena& arena = kernels::scratch_arena();
+  kernels::SampleArena::Scope scope(arena);
+  const auto bins = arena.alloc<Cf>(kOfdmFftSize);
+  const auto ref = arena.alloc<Cf>(kOfdmDataCarriers);
+  const auto pts = arena.alloc<Cf>(kOfdmDataCarriers);
+
   OverlayDecoded out;
   for (std::size_t seq = 0; seq < n_sequences; ++seq) {
     const auto seq_span = rx.subspan(seq * seq_samples, seq_samples);
-    const Iq ref = symbol_points(seq_span.first(kOfdmSymbolLen));
+    symbol_points(seq_span.first(kOfdmSymbolLen), plan, bins, ref);
 
     const Bits ref_bits = constellation_demap(ref, phy_.config().modulation);
     out.productive.insert(out.productive.end(), ref_bits.begin(),
@@ -85,8 +108,8 @@ OverlayDecoded WifiNOverlay::decode(std::span<const Cf> rx,
       std::size_t flips = 0;
       for (unsigned k = 0; k < params_.gamma; ++k) {
         const std::size_t sym = 1 + g * params_.gamma + k;
-        const Iq pts = symbol_points(
-            seq_span.subspan(sym * kOfdmSymbolLen, kOfdmSymbolLen));
+        symbol_points(seq_span.subspan(sym * kOfdmSymbolLen, kOfdmSymbolLen),
+                      plan, bins, pts);
         // Phase-flip metric over the middle half of the data subcarriers
         // (§2.4.2: majority voting on the middle half).
         double metric = 0.0;

@@ -7,9 +7,15 @@
 // a carried spare consumed on entry, a pending spare left on exit.
 // After every walk both generators must agree on their next 16
 // normal() and then their next 16 raw draws.
+//
+// The lane walk, Rng::chance_normal_hits_group, must give each stream
+// of a group exactly the oracle's hits, in every build the CPU runs:
+// ragged groups, mixed per-stream p, block tails and the scalar
+// continuation a lane takes when it runs out of its block.
 #include "diff_harness.h"
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -144,6 +150,154 @@ TEST(ContentionWalkDiff, RejectsShortOutputSpans) {
   rounds.resize(8);
   z.resize(7);
   EXPECT_THROW(rng.chance_normal_hits(8, 0.5, rounds, z), Error);
+}
+
+// ---- The lane walk --------------------------------------------------
+
+const double kLaneProbabilities[] = {0.0,
+                                     -0.0,
+                                     std::numeric_limits<double>::denorm_min(),
+                                     1e-300,
+                                     2.0 / 1024.0,
+                                     0.5,
+                                     1.0,
+                                     1.5,
+                                     std::numeric_limits<double>::quiet_NaN()};
+
+std::size_t walk_lanes(Rng::WalkIsa isa) {
+  return isa == Rng::WalkIsa::Avx512 ? 8 : 4;
+}
+
+/// Runs one group through chance_normal_hits_group and checks every
+/// stream's hits against the two-call oracle on a copy of it.
+void expect_group_matches_oracle(std::span<const Rng> streams,
+                                 std::span<const double> p, std::size_t n,
+                                 Rng::WalkIsa isa, const std::string& ctx) {
+  const std::size_t g = streams.size();
+  // Exactly g * n: ASan flags any write past the end.
+  std::vector<std::uint32_t> rounds(g * n);
+  std::vector<double> z(g * n);
+  std::vector<std::size_t> counts(g);
+  Rng::chance_normal_hits_group(streams, n, p, rounds, z, counts, isa);
+  std::size_t at = 0;
+  for (std::size_t l = 0; l < g; ++l) {
+    Rng ref = streams[l];
+    const Walk want = oracle_walk(ref, n, p[l]);
+    Walk got;
+    got.rounds.assign(rounds.begin() + at, rounds.begin() + at + counts[l]);
+    got.z.assign(z.begin() + at, z.begin() + at + counts[l]);
+    at += counts[l];
+    expect_same_walk(got, want, ctx + " stream " + std::to_string(l));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+class LaneWalkDiff : public ::testing::TestWithParam<Rng::WalkIsa> {
+ protected:
+  void SetUp() override {
+    if (!Rng::walk_isa_supported(GetParam()))
+      GTEST_SKIP() << Rng::walk_isa_name(GetParam())
+                   << " is not supported on this CPU";
+  }
+};
+
+TEST_P(LaneWalkDiff, RaggedGroupsMixedProbabilities) {
+  const Rng::WalkIsa isa = GetParam();
+  const std::size_t lanes = walk_lanes(isa);
+  Rng master(difftest::kSeed ^ 0x1a4e);
+  for (std::size_t g = 1; g <= 2 * lanes + 1; ++g)
+    for (std::size_t n = 0; n <= 130; ++n) {
+      std::vector<Rng> streams;
+      std::vector<double> p;
+      for (std::size_t l = 0; l < g; ++l) {
+        streams.push_back(master.fork(g * 1000 + n, l));
+        // One pick past the list is a tie: p equal to the stream's
+        // first coin draw, which must not hit.
+        const std::size_t pick =
+            (l * 7 + n * 3 + g) % (std::size(kLaneProbabilities) + 1);
+        p.push_back(pick < std::size(kLaneProbabilities)
+                        ? kLaneProbabilities[pick]
+                        : Rng(streams.back()).uniform());
+      }
+      expect_group_matches_oracle(
+          streams, p, n, isa,
+          std::string(Rng::walk_isa_name(isa)) + " g=" + std::to_string(g) +
+              " n=" + std::to_string(n));
+      if (HasFatalFailure()) return;
+    }
+}
+
+TEST_P(LaneWalkDiff, LongWalksFinishOnTheScalarContinuation) {
+  // Far more rounds than a lane block holds: every lane leaves its
+  // block, at an even or an odd round, and finishes on the scalar walk.
+  const Rng::WalkIsa isa = GetParam();
+  const std::size_t lanes = walk_lanes(isa);
+  Rng master(difftest::kSeed ^ 0x10c9);
+  for (std::size_t n : {255u, 256u, 1000u, 1001u})
+    for (double p0 : {2.0 / 1024.0, 0.5, 1.0}) {
+      std::vector<Rng> streams;
+      std::vector<double> p;
+      for (std::size_t l = 0; l < 2 * lanes + 1; ++l) {
+        streams.push_back(master.fork(n, l));
+        p.push_back(l % 3 == 2 ? 0.0 : p0);
+      }
+      expect_group_matches_oracle(
+          streams, p, n, isa,
+          std::string(Rng::walk_isa_name(isa)) + " long n=" +
+              std::to_string(n) + " p=" + std::to_string(p0));
+      if (HasFatalFailure()) return;
+    }
+}
+
+TEST_P(LaneWalkDiff, StreamsCarryingASpare) {
+  // A stream that carries a spare opens on it, as chance_normal_hits
+  // does; its neighbours in the group are unaffected.
+  const Rng::WalkIsa isa = GetParam();
+  Rng master(difftest::kSeed ^ 0x59a7);
+  for (std::size_t n : {0u, 1u, 2u, 63u, 64u, 65u}) {
+    std::vector<Rng> streams;
+    std::vector<double> p;
+    for (std::size_t l = 0; l < walk_lanes(isa) + 1; ++l) {
+      streams.push_back(master.fork(n, l));
+      if (l % 2 == 1) (void)streams.back().normal();
+      p.push_back(l % 4 == 3 ? 1.0 : 0.5);
+    }
+    expect_group_matches_oracle(streams, p, n, isa,
+                                std::string(Rng::walk_isa_name(isa)) +
+                                    " carried spare n=" + std::to_string(n));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST_P(LaneWalkDiff, RejectsShortSpans) {
+  const Rng::WalkIsa isa = GetParam();
+  const std::vector<Rng> streams = {Rng(1), Rng(2), Rng(3)};
+  const std::vector<double> p(3, 0.5);
+  std::vector<std::uint32_t> rounds(3 * 8);
+  std::vector<double> z(3 * 8);
+  std::vector<std::size_t> counts(3);
+  EXPECT_NO_THROW(Rng::chance_normal_hits_group(streams, 8, p, rounds, z,
+                                                counts, isa));
+  std::vector<std::uint32_t> short_rounds(3 * 8 - 1);
+  EXPECT_THROW(Rng::chance_normal_hits_group(streams, 8, p, short_rounds, z,
+                                             counts, isa),
+               Error);
+  std::vector<std::size_t> short_counts(2);
+  EXPECT_THROW(Rng::chance_normal_hits_group(streams, 8, p, rounds, z,
+                                             short_counts, isa),
+               Error);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Builds, LaneWalkDiff,
+    ::testing::Values(Rng::WalkIsa::Scalar, Rng::WalkIsa::Avx2,
+                      Rng::WalkIsa::Avx512),
+    [](const ::testing::TestParamInfo<Rng::WalkIsa>& info) {
+      return std::string(Rng::walk_isa_name(info.param));
+    });
+
+TEST(LaneWalkIsa, DefaultBuildIsSupported) {
+  EXPECT_TRUE(Rng::walk_isa_supported(Rng::default_walk_isa()));
 }
 
 }  // namespace

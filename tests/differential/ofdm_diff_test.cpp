@@ -1,9 +1,10 @@
 // Differential suite for the OFDM kernel pairs: FftPlan vs the
 // recurrence FFT in dsp/fft, the cached interleaver permutation vs the
-// per-bit index arithmetic, and the wifi_n modulate/demodulate chains
-// end to end.
+// per-bit index arithmetic, the wifi_n modulate/demodulate chains end
+// to end, and the 802.11n overlay decode.
 #include "diff_harness.h"
 
+#include "core/overlay/wifi_n_overlay.h"
 #include "dsp/fft.h"
 #include "dsp/kernels/fft_plan.h"
 #include "phy/interleaver.h"
@@ -145,6 +146,48 @@ TEST(OfdmDiff, FullFrameMatchesOracle) {
     EXPECT_EQ(rf.ok, rr.ok) << "iter=" << iter;
     difftest::expect_same_bits(rf.payload, rr.payload, "wifi_n frame payload",
                                difftest::ctx("iter=%d", iter));
+  }
+}
+
+TEST(OfdmDiff, OverlayDecodeMatchesOracle) {
+  // Noisy captures, down to SNRs where productive and tag bits are in
+  // error, and truncated ones: fewer sequences decoded than carried,
+  // with the capture cut anywhere after the last decoded one.
+  Rng rng(difftest::kSeed ^ 6);
+  for (OverlayMode mode :
+       {OverlayMode::Mode1, OverlayMode::Mode2, OverlayMode::Mode3}) {
+    const OverlayParams params = mode_params(Protocol::WifiN, mode, 24);
+    for (Modulation m : {Modulation::Bpsk, Modulation::Qam16}) {
+      WifiNConfig fast_cfg, ref_cfg;
+      fast_cfg.modulation = ref_cfg.modulation = m;
+      fast_cfg.path = KernelPath::Fast;
+      ref_cfg.path = KernelPath::Reference;
+      const WifiNOverlay fast(params, fast_cfg);
+      const WifiNOverlay ref(params, ref_cfg);
+      const std::size_t seq_samples = params.kappa * kOfdmSymbolLen;
+      for (int iter = 0; iter < 4; ++iter) {
+        const std::size_t n_seq = 1 + rng.uniform_int(4);
+        const Bits productive =
+            rng.bits(n_seq * ref.productive_bits_per_sequence());
+        const Bits tag = rng.bits(ref.tag_capacity(n_seq));
+        Iq rx = difftest::noisy(
+            ref.tag_modulate(ref.make_carrier(productive), tag), rng, -6.0,
+            20.0);
+        const std::size_t decoded =
+            iter % 2 == 0 ? n_seq : 1 + rng.uniform_int(n_seq);
+        rx.resize(decoded * seq_samples +
+                  rng.uniform_int(rx.size() - decoded * seq_samples + 1));
+        const auto c = difftest::ctx("mode=%d mod=%u iter=%d seq=%zu/%zu",
+                                     static_cast<int>(mode),
+                                     static_cast<unsigned>(m), iter, decoded,
+                                     n_seq);
+        const OverlayDecoded f = fast.decode(rx, decoded);
+        const OverlayDecoded r = ref.decode(rx, decoded);
+        difftest::expect_same_bits(f.productive, r.productive,
+                                   "overlay decode productive", c);
+        difftest::expect_same_bits(f.tag, r.tag, "overlay decode tag", c);
+      }
+    }
   }
 }
 

@@ -10,6 +10,12 @@
 # scheduling, arbitration pure in the contender set, superposition
 # probes keyed on drawn content.
 #
+# A fast-path leg reruns the sweep with --fast-path off, which walks
+# every tag's contention on the scalar oracle instead of the vector
+# lanes, and then the 1024-tag operating point (full and ragged lane
+# groups) at --threads 1 and 8, each with the fast path on and off; all
+# of them must match byte for byte.
+#
 # A SIGKILL leg then crashes the sweep mid-flight (MS_CRASH_AFTER_CELLS)
 # with a checkpoint journal armed, resumes from the journal, and
 # byte-compares the resumed output against the uninterrupted reference.
@@ -36,21 +42,40 @@ run() {
     >>"$dir/stdout.txt" 2>>"$dir/stderr.txt"
 }
 
+# same_outputs REF VARIANT...: scale_tags.csv and metrics.json of every
+# variant run directory are byte-identical to REF's.
+same_outputs() {
+  local ref="$1"
+  shift
+  for f in scale_tags.csv metrics.json; do
+    for variant in "$@"; do
+      if ! cmp -s "$workdir/$ref/$f" "$workdir/$variant/$f"; then
+        echo "FAIL: $f differs between $ref and $variant" >&2
+        diff "$workdir/$ref/$f" "$workdir/$variant/$f" >&2 || true
+        exit 1
+      fi
+    done
+  done
+}
+
 run "$workdir/t1_on" 1 on
 run "$workdir/t8_on" 8 on
 run "$workdir/t1_off" 1 off
 run "$workdir/t8_off" 8 off
+same_outputs t1_on t8_on t1_off t8_off
+echo "scale tags: CSV + metrics byte-identical across threads x cache"
 
-for f in scale_tags.csv metrics.json; do
-  for variant in t8_on t1_off t8_off; do
-    if ! cmp -s "$workdir/t1_on/$f" "$workdir/$variant/$f"; then
-      echo "FAIL: $f differs between t1_on and $variant" >&2
-      diff "$workdir/t1_on/$f" "$workdir/$variant/$f" >&2 || true
-      exit 1
-    fi
+# --- fast-path oracle legs --------------------------------------------
+run "$workdir/t8_ref" 8 on --fast-path off
+same_outputs t1_on t8_ref
+for threads in 1 8; do
+  for fast in on off; do
+    run "$workdir/n1024_t${threads}_${fast}" "$threads" on \
+      --tags 1024 --trials 1 --fast-path "$fast"
   done
 done
-echo "scale tags: CSV + metrics byte-identical across threads x cache"
+same_outputs n1024_t1_on n1024_t1_off n1024_t8_on n1024_t8_off
+echo "scale tags: fast path byte-identical to its oracle (32 and 1024 tags)"
 
 # --- SIGKILL-and-resume leg -------------------------------------------
 res="$workdir/resumed"
