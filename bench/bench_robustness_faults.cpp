@@ -45,7 +45,8 @@ LinkSessionReport run_variant(LinkSessionConfig cfg, bool arq, bool adapt) {
   cfg.adaptation_enabled = arq && adapt;
   Rng rng(kSeed);
   LinkSession session(cfg);
-  return session.run(kReadings, kMaxSlots, rng);
+  const std::vector<SlotConditions> stationary(kMaxSlots);
+  return session.run_trace(kReadings, stationary, rng);
 }
 
 struct SweepRow {

@@ -10,10 +10,10 @@
 # them get an ASan+UBSan pass below for free — then the
 # bench-smoke label (which includes the threads-1 vs threads-8
 # byte-identity gates for the waveform cache, the workload scorecard,
-# the kernel fast path, and the many-tag scale sweep), a bench-perf
-# smoke of the identification-, PHY-throughput, and tag-scaling
-# microbenches, and finally the same four suites under ASan+UBSan
-# (-DMS_SANITIZE=ON).  Exits nonzero on the first failing step.
+# the fault sweeps, the kernel fast path, and the many-tag scale
+# sweep), a bench-perf smoke of the identification-, PHY-throughput,
+# and tag-scaling microbenches, and finally the same four suites under
+# ASan+UBSan (-DMS_SANITIZE=ON).  Exits nonzero on the first failing step.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -29,7 +29,12 @@ run_suites() {
 }
 
 echo "=== Release build ==="
-cmake -B "${repo_root}/build" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
+# Warnings are errors in this leg: the tree builds clean under
+# -Wall -Wextra, and a new warning should fail CI rather than scroll by.
+# (CMAKE_COMPILE_WARNING_AS_ERROR needs CMake >= 3.24; older CMake
+# ignores it.)
+cmake -B "${repo_root}/build" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release \
+      -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "${repo_root}/build" -j"${jobs}"
 run_suites "${repo_root}/build"
 echo "==> ctest -L bench-smoke (Release only)"

@@ -7,9 +7,11 @@
 // whose per-slot SNR follows a Gilbert–Elliott quality process
 // (channel/impairments.h) with optional i.i.d. burst corruption — the
 // knob the fault-injection benches sweep.  Clear-channel assessment
-// (channel_sense.h) defers transmission on busy slots.  With ARQ
-// disabled the session reproduces the seed behaviour: frames are sent
-// once, blind, and a reading with a hole is lost.
+// (channel_sense.h) defers transmission on busy slots.  One slot loop,
+// LinkSession::run_trace, drives all of it from a per-slot trace of
+// SlotConditions; default-constructed entries are stationary air.
+// With ARQ disabled the session reproduces the seed behaviour: frames
+// are sent once, blind, and a reading with a hole is lost.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +67,7 @@ struct LinkSessionConfig {
   double sense_busy_prob = 0.0;     ///< P(clear-channel assessment busy)
   ChannelSenseConfig sense;
 
-  // --- graceful degradation (run_trace only) ---
+  // --- graceful degradation (governor and budget off by default) ---
   EnergyPolicyConfig energy;       ///< Table-4 capacitor model
   RetryBudgetConfig retry_budget;  ///< bound on retransmission spend
   /// P(the CCA catches a coexistence interferer and defers); a missed
@@ -76,10 +78,10 @@ struct LinkSessionConfig {
 
   std::size_t reading_bytes = 96;  ///< sensor reading size
 
-  /// Sensor cadence for run_trace: reading k is not offered before slot
-  /// k * interval, so a session spans its trace instead of draining the
-  /// reading queue in the first few clean slots.  0 = as fast as the
-  /// link resolves them (the run() behaviour).
+  /// Sensor cadence: reading k is not offered before slot k * interval,
+  /// so a session spans its trace instead of draining the reading queue
+  /// in the first few clean slots.  0 = as fast as the link resolves
+  /// them.
   std::size_t reading_interval_slots = 0;
 
   uint8_t tag_id = 1;
@@ -101,7 +103,7 @@ struct LinkSessionReport {
   std::size_t level_switches = 0;
   double final_nack_rate = 0.0;
 
-  // --- degradation path (populated by run_trace) ---
+  // --- degradation path (zero unless the trace or config engages it) ---
   std::size_t slots_dark = 0;        ///< no excitation on the air
   std::size_t slots_undersized = 0;  ///< frame did not fit the slot
   std::size_t brownouts = 0;         ///< capacitor collapses
@@ -176,17 +178,16 @@ class LinkSession {
  public:
   explicit LinkSession(LinkSessionConfig cfg);
 
-  /// Offer `n_readings` random sensor readings and run slots until all
-  /// are resolved (delivered or abandoned) or `max_slots` elapse.
-  LinkSessionReport run(std::size_t n_readings, std::size_t max_slots,
-                        Rng& rng);
-
-  /// Run the session against an adversarial workload trace: one
-  /// SlotConditions entry per slot (dark air, coexistence interferers,
-  /// time-varying SNR, variable slot capacity), with the full graceful-
-  /// degradation stack — capacitor governor, brownout + resync, retry
-  /// budget, holdoff jitter — engaged as configured.  Stops when the
-  /// trace is exhausted or all readings are resolved.
+  /// Offer `n_readings` random sensor readings and run one slot per
+  /// `trace` entry until the trace is exhausted or every reading is
+  /// resolved (delivered or abandoned).  Each slot the tag clears the
+  /// channel (the paper's footnote 6) and backscatters at most one
+  /// frame.  The trace supplies dark air, coexistence interferers,
+  /// time-varying SNR and variable slot capacity;
+  /// `std::vector<SlotConditions>(max_slots)` is stationary air.  The
+  /// graceful-degradation stack (capacitor governor, brownout + resync,
+  /// retry budget, holdoff jitter) runs as configured.  Slots the tag
+  /// sits out still count down ARQ holdoff.
   LinkSessionReport run_trace(std::size_t n_readings,
                               std::span<const SlotConditions> trace,
                               Rng& rng);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.h"
 
 namespace ms {
@@ -18,7 +20,8 @@ LinkSessionReport run_once(const LinkSessionConfig& cfg, std::uint64_t seed,
                            std::size_t max_slots = 2500) {
   LinkSession session(cfg);
   Rng rng(seed);
-  return session.run(readings, max_slots, rng);
+  const std::vector<SlotConditions> stationary(max_slots);
+  return session.run_trace(readings, stationary, rng);
 }
 
 TEST(LinkSession, FaultFreeDeliversEverything) {

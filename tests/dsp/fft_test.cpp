@@ -49,8 +49,11 @@ TEST(Fft, SingleToneLandsInCorrectBin) {
   }
   const Iq X = fft(x);
   EXPECT_NEAR(std::abs(X[k]), static_cast<float>(n), 1e-3);
-  for (std::size_t i = 0; i < n; ++i)
-    if (i != static_cast<std::size_t>(k)) EXPECT_NEAR(std::abs(X[i]), 0.0f, 1e-3);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i != static_cast<std::size_t>(k)) {
+      EXPECT_NEAR(std::abs(X[i]), 0.0f, 1e-3);
+    }
+  }
 }
 
 TEST(Fft, InverseRecoversInput) {

@@ -45,6 +45,13 @@ std::string hex_double(double x) {
   return buf;
 }
 
+// Appends " <hex_double(x)>".  Two appends, not `" " + hex_double(x)`:
+// GCC 12 at -O3 reports a false -Wrestrict on `const char* + string&&`.
+void append_hex(std::string& s, double x) {
+  s += ' ';
+  s += hex_double(x);
+}
+
 std::string bits_line(const Bits& bits) {
   std::string s;
   s.reserve(bits.size());
@@ -286,8 +293,8 @@ Vector ident_calibration_vector() {
       line += ' ';
       line += protocol_name(p);
     }
-    for (double t : cal.thresholds) line += " " + hex_double(t);
-    line += " " + hex_double(cal.calibration_accuracy);
+    for (double t : cal.thresholds) append_hex(line, t);
+    append_hex(line, cal.calibration_accuracy);
     v.lines.push_back(line);
   }
   return v;
@@ -328,10 +335,11 @@ Vector fleet_scale_trials_vector() {
                       "%zu %.0f %llu 0x%x 0x%x 0x%x 0x%x 0x%x 0x%x", n, load,
                       static_cast<unsigned long long>(seed), t.tags, t.slots,
                       t.idle, t.clean, t.captured, t.collision);
-        v.lines.push_back(buf + (" " + hex_double(t.sinr_sum_db)) + " " +
-                          hex_double(t.ber_sum) + " " +
-                          hex_double(t.goodput_bits) + " " +
-                          hex_double(t.waveform_tag_ber));
+        std::string line = buf;
+        for (double x : {t.sinr_sum_db, t.ber_sum, t.goodput_bits,
+                         t.waveform_tag_ber})
+          append_hex(line, x);
+        v.lines.push_back(line);
       }
     }
   }
@@ -357,23 +365,28 @@ std::string link_report_line(const std::string& label,
         r.sender.frames_dropped, r.sender.readings_abandoned,
         r.level_switches, r.slots_dark, r.slots_undersized, r.brownouts,
         r.slots_browned_out, r.resyncs, r.retries_shed, r.energy_deferrals,
-        r.energy_violations, r.recoveries})
-    s += " " + hex_size(x);
+        r.energy_violations, r.recoveries}) {
+    s += ' ';
+    s += hex_size(x);
+  }
   for (double x : {r.delivered_bytes, r.mean_gamma, r.mean_fec_repeats,
                    r.final_nack_rate, r.energy_harvested_j, r.energy_spent_j,
                    r.recover_slots_total})
-    s += " " + hex_double(x);
+    append_hex(s, x);
   char buf[24];
   std::snprintf(buf, sizeof buf, " 0x%016llx",
                 static_cast<unsigned long long>(rng()));
   return s + buf;
 }
 
-// The tag link layer's slot loops.  run_trace: each standard_scenarios()
-// entry on traces 0-3 in bench_robustness_workloads' three variants
-// ("full": governor, retry budget, holdoff jitter 3; "blind": none of
-// them; "seed": no ARQ or adaptation either), at seeds 1 and 7919.
-// run: the link_session_test configurations at the same seeds.  One
+// The tag link layer's slot loop, LinkSession::run_trace.  "run_trace"
+// lines: each standard_scenarios() entry on traces 0-3 in
+// bench_robustness_workloads' three variants ("full": governor, retry
+// budget, holdoff jitter 3; "blind": none of them; "seed": no ARQ or
+// adaptation either), at seeds 1 and 7919.  "run" lines: the
+// link_session_test configurations at the same seeds on a stationary
+// trace (max_slots default SlotConditions), plus "busy_corrupt", where
+// CCA-deferred slots count down the holdoff of NACKed frames.  One
 // line each, the label then the report:
 //   run_trace <scenario> <variant> <seed> <trace> <fields…> <draw>
 //   run <config> <seed> <fields…> <draw>
@@ -423,6 +436,11 @@ Vector link_session_vector() {
            c.arq_enabled = false;
            c.adaptation_enabled = false;
          }},
+        {"busy_corrupt", 160, 4000,
+         [](LinkSessionConfig& c) {
+           c.sense_busy_prob = 0.3;
+           c.frame_corrupt_prob = 0.10;
+         }},
         {"busy_sense", 80, 2500,
          [](LinkSessionConfig& c) { c.sense_busy_prob = 0.3; }},
         {"corrupt10", 160, 4000,
@@ -440,7 +458,9 @@ Vector link_session_vector() {
       rc.tweak(cfg);
       LinkSession session(cfg);
       Rng rng(seed);
-      const LinkSessionReport r = session.run(rc.readings, rc.max_slots, rng);
+      const std::vector<SlotConditions> stationary(rc.max_slots);
+      const LinkSessionReport r =
+          session.run_trace(rc.readings, stationary, rng);
       v.lines.push_back(link_report_line(
           std::string("run ") + rc.name + " " + std::to_string(seed), r, rng));
     }

@@ -98,7 +98,9 @@ TEST(OfdmSync, NonOfdmSignalRejected) {
     v = Cf(static_cast<float>(std::cos(phase)), static_cast<float>(std::sin(phase)));
   }
   const auto sync = ofdm_synchronize(x);
-  if (sync) EXPECT_LT(sync->metric, 0.75);
+  if (sync) {
+    EXPECT_LT(sync->metric, 0.75);
+  }
 }
 
 TEST(OfdmSync, ShortInputRejected) {

@@ -24,12 +24,12 @@ TEST(RngFork, AdjacentStreamsShareNoOutputsInWindow) {
   // derivation: (p, t), (p, t+1), (p+1, t), and the seed's own stream.
   const Rng master(1234);
   std::vector<std::vector<std::uint64_t>> streams;
-  for (const auto [p, t] : {std::pair<std::uint64_t, std::uint64_t>{0, 0},
-                            {0, 1},
-                            {1, 0},
-                            {1, 1},
-                            {2, 1},
-                            {1, 2}})
+  for (const auto& [p, t] : {std::pair<std::uint64_t, std::uint64_t>{0, 0},
+                             {0, 1},
+                             {1, 0},
+                             {1, 1},
+                             {2, 1},
+                             {1, 2}})
     streams.push_back(draw(master.fork(p, t), kWindow));
   streams.push_back(draw(master, kWindow));
 

@@ -38,9 +38,10 @@ TEST(Range, BerLowAt16mThenClimbs) {
   // Fig 13b: low BERs out to ~16 m.
   const auto pts = range_sweep(Protocol::WifiB, los_sweep_config());
   for (const RangePoint& pt : pts) {
-    if (pt.distance_m <= 16.0)
+    if (pt.distance_m <= 16.0) {
       EXPECT_LT(std::max(pt.productive_ber, pt.tag_ber), 0.05)
           << pt.distance_m;
+    }
   }
   EXPECT_GT(pts.back().productive_ber + pts.back().tag_ber,
             pts.front().productive_ber + pts.front().tag_ber);
@@ -49,8 +50,11 @@ TEST(Range, BerLowAt16mThenClimbs) {
 TEST(Range, ThroughputZeroBeyondMaxRange) {
   const RangeSweepConfig cfg = los_sweep_config();
   const double max_r = max_range_m(Protocol::Ble, cfg);
-  for (const RangePoint& pt : range_sweep(Protocol::Ble, cfg))
-    if (pt.distance_m > max_r + 1.0) EXPECT_EQ(pt.aggregate_kbps, 0.0);
+  for (const RangePoint& pt : range_sweep(Protocol::Ble, cfg)) {
+    if (pt.distance_m > max_r + 1.0) {
+      EXPECT_EQ(pt.aggregate_kbps, 0.0);
+    }
+  }
 }
 
 TEST(Range, AggregateOrderingNearTagMatchesFig13c) {
